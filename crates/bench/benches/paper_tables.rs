@@ -2,7 +2,7 @@
 //! runs behind Figure 1 and Tables 2–5 (at reduced size so sampling is
 //! fast), and prints the simulated headline metrics once per group.
 //!
-//! The full-size artifacts are produced by the `harness` binary:
+//! The full-size artifacts are produced by the `cvm` binary:
 //! `cargo run --release -p cvm-harness -- all`.
 
 use cvm_apps::water_nsq::{self, WaterNsqOpt};

@@ -2,7 +2,7 @@
 
 use cvm_memsim::MemConfig;
 use cvm_net::{FaultPlan, LatencyModel, LossConfig};
-use cvm_sim::{ExploreSpec, ScheduleScript, SimDuration};
+use cvm_sim::{PickPolicy, SimDuration};
 
 use crate::oracle::{FindingSink, InjectFault};
 use crate::protocol::ProtocolKind;
@@ -63,12 +63,12 @@ pub struct CvmConfig {
     /// sends a single per-node arrival). Disable for the ablation: every
     /// thread then sends its own arrival and receives its own release.
     pub aggregate_barriers: bool,
-    /// Schedule ready threads most-recently-readied first (closer to
-    /// LIFO). The paper notes a "memory-system aware thread scheduler
-    /// would use an approach closer to LIFO than FIFO. Our scheduler does
-    /// not make this optimization" — this flag adds it, trading fairness
-    /// for cache/TLB locality (see the `ablation` harness and benches).
-    pub lifo_schedule: bool,
+    /// How each node chooses its next ready thread: FIFO (the paper's
+    /// scheduler) or LIFO base order (see the `ablation` harness and
+    /// benches), optionally overridden for a prefix of the run by a
+    /// replay script (`cvm check --dpor`) or a seeded perturbation (the
+    /// schedule-exploration checker).
+    pub pick: PickPolicy,
     /// Lock releases prefer local queue inhabitants over remote waiters
     /// (the paper's unfair-but-fast policy). Disable for the ablation:
     /// remote waiters are served first and the node re-requests the lock
@@ -117,15 +117,6 @@ pub struct CvmConfig {
     /// Deliberate protocol mutation for oracle self-tests (None = faithful
     /// protocol).
     pub inject: Option<InjectFault>,
-    /// Perturb scheduler pick decisions with this seeded schedule (the
-    /// schedule-exploration checker). None runs the configured FIFO/LIFO
-    /// policy unmodified.
-    pub explore: Option<ExploreSpec>,
-    /// Replay scheduler picks from a fixed script (the stateless model
-    /// checker, `cvm check --dpor`): entry `i` indexes the ready queue
-    /// at the `i`-th scheduling point; past the script the configured
-    /// policy resumes. Takes precedence over `explore`.
-    pub script: Option<ScheduleScript>,
     /// Record every scheduling point (enabled set, chosen index, burst
     /// page/sync footprint) onto the run report's step log and fingerprint
     /// the terminal protocol state — the observation channel the DPOR
@@ -167,7 +158,7 @@ impl CvmConfig {
             code_pages: 20,
             protocol: ProtocolKind::LazyMultiWriter,
             aggregate_barriers: true,
-            lifo_schedule: false,
+            pick: PickPolicy::default(),
             prefer_local_lock_waiters: true,
             local_grant_cap: 0,
             jitter_max: SimDuration::ZERO,
@@ -179,8 +170,6 @@ impl CvmConfig {
             verify: false,
             verify_sink: FindingSink::new(),
             inject: None,
-            explore: None,
-            script: None,
             record_steps: false,
             shards: 1,
         }

@@ -58,10 +58,7 @@ use std::sync::Arc;
 use cvm_net::NetworkSim;
 use cvm_sim::coop::{CoopScheduler, CoopThreadId, Yielder};
 use cvm_sim::sync::Mutex;
-use cvm_sim::{
-    ExploreSchedule, Fnv64, ScriptCursor, ShardMap, ShardedEventQueue, SimDuration, SimRng,
-    StepLog, VirtualTime,
-};
+use cvm_sim::{Fnv64, ShardMap, ShardedEventQueue, SimDuration, SimRng, StepLog, VirtualTime};
 
 use cvm_memsim::MemSystem;
 
@@ -394,11 +391,6 @@ pub struct DriverCore {
     /// Invariant checker: panics on violation normally, records findings
     /// under `cfg.verify`.
     oracle: Oracle,
-    /// Seeded scheduler perturbation, when exploring.
-    explore: Option<ExploreSchedule>,
-    /// Scripted scheduler picks (the model checker's replay channel);
-    /// takes precedence over `explore`.
-    script: Option<ScriptCursor>,
     /// Scheduling-point log, when `cfg.record_steps`.
     steps: Option<StepLog>,
     /// Occurrences of the configured injection's fault site seen so far
@@ -506,8 +498,6 @@ impl Driver {
         } else {
             Oracle::disabled()
         };
-        let explore = cfg.explore.map(ExploreSchedule::new);
-        let script = cfg.script.clone().map(ScriptCursor::new);
         let steps = cfg.record_steps.then(|| StepLog::new(STEP_LOG_CAP));
         if cfg.record_steps {
             for cell in &cells {
@@ -538,13 +528,12 @@ impl Driver {
             nodes * tpn
         };
         let proto = make_protocol(cfg.protocol);
-        // Exact replay (scripts), seeded perturbation, step recording,
+        // A pick override (replay script, seeded perturbation), step recording,
         // fault injection and the verifying oracle all observe or pin the
         // precise sequential interleaving; the planner stands down for
         // them even though its output would be identical.
         let par_enabled = cfg.shards > 1
-            && cfg.script.is_none()
-            && cfg.explore.is_none()
+            && cfg.pick.is_default()
             && !cfg.record_steps
             && !cfg.verify
             && cfg.inject.is_none();
@@ -597,8 +586,6 @@ impl Driver {
             reduce_span: vec![0; nodes],
             lock_span: HashMap::new(),
             oracle,
-            explore,
-            script,
             steps,
             inject_seen: 0,
         };

@@ -31,8 +31,8 @@
 //!    most one burst per shard is in flight, planned only when none are.
 //! 4. **Predictable pick**: replay scripts, schedule exploration, step
 //!    recording, fault injection and the verifying oracle are all off
-//!    (see `par_enabled`), so the pick is the configured FIFO/LIFO head
-//!    of `n`'s ready queue — which conditions 1–2 freeze until `t`.
+//!    (see `par_enabled`), so the pick is `PickPolicy::peek` of `n`'s
+//!    ready queue — which conditions 1–2 freeze until `t`.
 //!
 //! Everything a handler or another node's burst does between planning and
 //! collection either touches only its own node's state or travels through
@@ -102,15 +102,12 @@ impl DriverCore {
 
     /// The thread `run_node` will pick on node `n`, predicted without
     /// consuming it — valid only under the planner's freeze conditions
-    /// (no script/explore overrides, ready queue can't change before the
-    /// event fires).
+    /// (no pick override, ready queue can't change before the event
+    /// fires).
     fn peek_pick(&self, n: usize) -> Option<usize> {
         let ready = &self.ctl[n].sched.ready;
-        if self.cfg.lifo_schedule {
-            ready.back().copied()
-        } else {
-            ready.front().copied()
-        }
+        let idx = self.cfg.pick.peek(ready.len())?;
+        ready.get(idx).copied()
     }
 
     /// Claims the pre-started burst for node `n`, if one is in flight on

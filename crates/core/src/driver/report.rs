@@ -8,8 +8,6 @@
 //! sweep uses), so there is exactly one place where per-node time turns
 //! into system-wide statistics.
 
-use cvm_sim::ExploreSchedule;
-
 use crate::report::{MemMisses, MemPeaks, RunReport};
 
 use super::DriverCore;
@@ -91,7 +89,7 @@ impl DriverCore {
                 None
             },
             findings: self.cfg.verify_sink.snapshot(),
-            explore_decisions: self.explore.as_ref().map_or(0, ExploreSchedule::decisions),
+            explore_decisions: self.cfg.pick.decisions(),
             // Filled at end of run (the step log spans the whole run and
             // the fingerprint is of the *terminal* state).
             steps: None,

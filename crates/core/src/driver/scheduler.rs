@@ -95,38 +95,14 @@ impl DriverCore {
         } else {
             Vec::new()
         };
-        let scripted = self.script.as_mut().and_then(|s| s.next(ready_len));
-        let explored = if scripted.is_some() {
-            None
-        } else {
-            self.explore.as_mut().and_then(|e| e.pick(ready_len))
-        };
-        let (tid, chosen) = if let Some(idx) = scripted {
-            // Model-checker replay: the script pins this pick exactly.
-            (
-                self.ctl[n].sched.ready.remove(idx).expect("pick in range"),
-                idx,
-            )
-        } else if let Some(idx) = explored {
-            // Exploration overrides the policy with a seeded choice among
-            // the ready set (budget-bounded, then the policy resumes).
-            (
-                self.ctl[n].sched.ready.remove(idx).expect("pick in range"),
-                idx,
-            )
-        } else if self.cfg.lifo_schedule {
-            // Memory-conscious policy: run the most recently readied
-            // thread, whose working set is most likely still cached.
-            (
-                self.ctl[n].sched.ready.pop_back().expect("ready checked"),
-                ready_len - 1,
-            )
-        } else {
-            (
-                self.ctl[n].sched.ready.pop_front().expect("ready checked"),
-                0,
-            )
-        };
+        // The one pick: the override (replay script or seeded exploration)
+        // while it lasts, then the FIFO/LIFO base order.
+        let chosen = self.cfg.pick.pick(ready_len);
+        let tid = self.ctl[n]
+            .sched
+            .ready
+            .remove(chosen)
+            .expect("pick in range");
         if let Some(prev) = self.ctl[n].sched.last_ran {
             if prev != tid {
                 self.ctl[n].sched.clock += self.cfg.thread_switch;

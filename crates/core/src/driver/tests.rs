@@ -132,7 +132,9 @@ fn global_reduce_combines_across_cluster() {
 fn lifo_schedule_is_deterministic_and_correct() {
     let run = |lifo: bool| {
         let mut cfg = CvmConfig::small(2, 3);
-        cfg.lifo_schedule = lifo;
+        if lifo {
+            cfg.pick.base = cvm_sim::BaseOrder::Lifo;
+        }
         let mut b = CvmBuilder::new(cfg);
         let v = b.alloc::<u64>(128);
         b.run(move |ctx| {

@@ -201,20 +201,7 @@ impl RunReport {
         obj.set("total_ms", self.total_ms());
         obj.set("stats", self.stats.to_json());
         obj.set("net", self.net.to_json());
-        let mut loss = JsonValue::object();
-        loss.set("sends", self.loss.sends);
-        loss.set("delivered", self.loss.delivered);
-        loss.set("gave_up", self.loss.gave_up);
-        loss.set("dropped", self.loss.dropped);
-        loss.set("ack_drops", self.loss.ack_drops);
-        loss.set("corrupt_drops", self.loss.corrupt_drops);
-        loss.set("partition_drops", self.loss.partition_drops);
-        loss.set("duplicates_injected", self.loss.duplicates_injected);
-        loss.set("reorders_injected", self.loss.reorders_injected);
-        loss.set("retransmissions", self.loss.retransmissions);
-        loss.set("duplicates_suppressed", self.loss.duplicates_suppressed);
-        loss.set("acks_sent", self.loss.acks_sent);
-        obj.set("loss", loss);
+        obj.set("loss", self.loss.to_json());
         if self.degraded() {
             let mut degraded = JsonValue::object();
             degraded.set("unfinished_threads", self.unfinished_threads);

@@ -103,7 +103,7 @@ fn ablated_policy_serves_remote_first_without_handoff() {
 fn contended_locks_survive_schedule_perturbation() {
     for seed in [1u64, 2, 3] {
         let mut cfg = CvmConfig::small(2, 2);
-        cfg.explore = Some(cvm_sim::ExploreSpec { seed, budget: 32 });
+        cfg.pick = cvm_sim::PickPolicy::seeded(cvm_sim::ExploreSpec { seed, budget: 32 });
         let mut b = CvmBuilder::new(cfg);
         let counter = b.alloc::<u64>(1);
         let report = b.run(move |ctx| {

@@ -1,4 +1,4 @@
-//! `harness bench` — run the whole application suite once per app under
+//! `cvm bench` — run the whole application suite once per app under
 //! the standard configuration and emit machine-readable reports.
 //!
 //! Each app produces one `BENCH_<app>.json` file: the full
@@ -29,13 +29,9 @@ pub fn file_name(app: AppId) -> String {
 pub const OBS_FILE: &str = "BENCH_obs.json";
 
 /// Runs every application once at `nodes`×`threads` (skipping apps that
-/// reject the thread count) and returns the outcomes in suite order.
-pub fn run_suite(scale: Scale, nodes: usize, threads: usize) -> Vec<RunOutcome> {
-    run_suite_with(scale, nodes, threads, false)
-}
-
-/// [`run_suite`] with span recording switched on or off.
-pub fn run_suite_with(scale: Scale, nodes: usize, threads: usize, spans: bool) -> Vec<RunOutcome> {
+/// reject the thread count), with span recording switched on or off, and
+/// returns the outcomes in suite order.
+pub fn run_suite(scale: Scale, nodes: usize, threads: usize, spans: bool) -> Vec<RunOutcome> {
     AppId::ALL
         .into_iter()
         .filter(|app| app.supports_threads(threads))

@@ -1,150 +1,112 @@
 //! `cvm bench` — suite benchmarking, the regression gate, and the
 //! `--scale` ladder of the parallel event core.
 
-use crate::cli::{load_json, parse_list, usage};
-use crate::{bench, scale_bench, Scale};
+use crate::cli::{gate_against, load_json, write_artifact, Args, CliError};
+use crate::scale_bench::{self, ScaleConfig};
+use crate::{bench, Scale};
 
-pub(crate) fn run_bench(args: &[String]) {
-    let mut json = false;
-    let mut spans = false;
-    let mut scale_mode = false;
-    let mut nodes = 8usize;
-    let mut scale_nodes: Option<Vec<usize>> = None;
-    let mut threads: Option<usize> = None;
-    let mut shards = scale_bench::DEFAULT_SHARDS;
-    let mut scale = Scale::Small;
-    let mut baseline: Option<String> = None;
-    let mut current: Option<String> = None;
-    let mut gate_pct = 5.0f64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--spans" => spans = true,
-            "--scale" => scale_mode = true,
-            "--baseline" => baseline = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--current" => current = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--gate" => {
-                gate_pct = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|p: &f64| *p > 0.0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--nodes" => {
-                // Scale mode ladders over a comma-separated list; the
-                // suite takes a single count. Both arrive here.
-                let v = it.next().cloned().unwrap_or_else(|| usage());
-                scale_nodes = parse_list(&v);
-                if scale_nodes.is_none() {
-                    usage();
-                }
-            }
-            "--threads" => {
-                threads = it.next().and_then(|v| v.parse().ok());
-                if threads.is_none() {
-                    usage();
-                }
-            }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&s: &usize| s > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--paper-scale" => scale = Scale::Paper,
-            _ => usage(),
-        }
-    }
-    // File-vs-file mode: gate two committed artifacts, no runs at all.
-    if let (Some(base_path), Some(cur_path)) = (&baseline, &current) {
-        let outcome = crate::gate::compare(&load_json(base_path), &load_json(cur_path), gate_pct);
-        print!("{}", outcome.render(gate_pct));
-        std::process::exit(i32::from(outcome.failed()));
-    }
-    if current.is_some() {
-        eprintln!("--current needs --baseline");
-        usage();
-    }
-    if scale_mode {
-        run_scale(scale_nodes, threads, shards, json, baseline, gate_pct);
-        return;
-    }
-    // A gate run always needs the span summary to compare.
-    let record_spans = spans || baseline.is_some();
-    let threads = threads.unwrap_or(2);
-    match scale_nodes.as_deref() {
-        Some([n]) => nodes = *n,
-        Some(_) => usage(), // a node *ladder* is a --scale option
-        None => {}
-    }
-    eprintln!("[harness] bench suite P={nodes} T={threads}");
-    let outcomes = bench::run_suite_with(scale, nodes, threads, record_spans);
-    print!("{}", bench::render_summary(&outcomes));
-    if json {
-        for o in &outcomes {
-            let path = bench::file_name(o.spec.app);
-            let doc = bench::to_json(o);
-            std::fs::write(&path, doc.to_pretty()).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("[harness] wrote {path}");
-        }
-        if record_spans {
-            let doc = bench::obs_json(&outcomes);
-            std::fs::write(bench::OBS_FILE, doc.to_pretty()).unwrap_or_else(|e| {
-                eprintln!("cannot write {}: {e}", bench::OBS_FILE);
-                std::process::exit(1);
-            });
-            eprintln!("[harness] wrote {}", bench::OBS_FILE);
-        }
-    }
-    if let Some(base_path) = &baseline {
-        let outcome =
-            crate::gate::compare(&load_json(base_path), &bench::obs_json(&outcomes), gate_pct);
-        print!("{}", outcome.render(gate_pct));
-        if outcome.failed() {
-            std::process::exit(1);
-        }
-    }
+/// What `cvm bench` was asked to do.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchCmd {
+    /// `--scale`: run the node-count ladder instead of the suite.
+    pub ladder: bool,
+    /// `--nodes`: the ladder's rungs, or the suite's single count.
+    pub nodes: Option<Vec<usize>>,
+    /// `--threads`: threads per node (suite default 2, ladder default 4).
+    pub threads: Option<usize>,
+    /// `--shards`: shard count of the ladder's parallel run.
+    pub shards: usize,
+    /// Problem scale of the suite.
+    pub scale: Scale,
+    /// `--spans`: record span forests (a gate forces it on: the span
+    /// summary is what it compares).
+    pub spans: bool,
+    /// `--json`: write the `BENCH_*.json` artifacts.
+    pub json: bool,
+    /// `--baseline FILE`: gate the produced artifact against FILE.
+    pub baseline: Option<String>,
+    /// `--current FILE`: gate FILE against the baseline, no runs at all.
+    pub current: Option<String>,
+    /// `--gate PCT`: warn above PCT, fail above twice it.
+    pub gate_pct: f64,
 }
 
-/// `cvm bench --scale`: run the ladder, optionally write and gate
-/// `BENCH_scale.json`.
-fn run_scale(
-    nodes: Option<Vec<usize>>,
-    threads: Option<usize>,
-    shards: usize,
-    json: bool,
-    baseline: Option<String>,
-    gate_pct: f64,
-) {
-    let mut cfg = scale_bench::ScaleConfig::default();
-    if let Some(nodes) = nodes {
-        cfg.nodes = nodes;
-    }
-    if let Some(t) = threads {
-        cfg.threads = t;
-    }
-    cfg.shards = shards;
-    let rungs = scale_bench::run_ladder(&cfg);
-    print!("{}", scale_bench::render_summary(&cfg, &rungs));
-    let doc = scale_bench::to_json(&cfg, &rungs);
-    if json {
-        let path = scale_bench::FILE_NAME;
-        std::fs::write(path, doc.to_pretty()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("[harness] wrote {path}");
-    }
-    if let Some(base_path) = &baseline {
-        let outcome = crate::gate::compare(&load_json(base_path), &doc, gate_pct);
-        print!("{}", outcome.render(gate_pct));
-        if outcome.failed() {
-            std::process::exit(1);
+/// Parses `cvm bench ARGS`.
+pub fn parse(argv: &[String]) -> Result<BenchCmd, CliError> {
+    let mut c = BenchCmd {
+        ladder: false,
+        nodes: None,
+        threads: None,
+        shards: scale_bench::DEFAULT_SHARDS,
+        scale: Scale::Small,
+        spans: false,
+        json: false,
+        baseline: None,
+        current: None,
+        gate_pct: 5.0,
+    };
+    let mut args = Args::new("bench", argv);
+    args.each(|a| {
+        match a.flag() {
+            "--json" => c.json = true,
+            "--spans" => c.spans = true,
+            "--scale" => c.ladder = true,
+            "--baseline" => c.baseline = Some(a.value()?),
+            "--current" => c.current = Some(a.value()?),
+            "--gate" => c.gate_pct = a.positive()?,
+            "--nodes" => c.nodes = Some(a.list()?),
+            "--threads" => c.threads = Some(a.positive()?),
+            "--shards" => c.shards = a.positive()?,
+            "--paper-scale" => c.scale = Scale::Paper,
+            _ => return Err(a.unknown()),
         }
+        Ok(())
+    })?;
+    if c.current.is_some() && c.baseline.is_none() {
+        return Err(args.usage("--current needs --baseline"));
+    }
+    if !c.ladder && c.nodes.as_ref().is_some_and(|n| n.len() > 1) {
+        return Err(args.usage("--nodes: a node ladder needs --scale"));
+    }
+    c.spans |= c.baseline.is_some();
+    Ok(c)
+}
+
+/// Runs `cvm bench`: fails on a regression or an unwritable artifact.
+pub fn run(c: BenchCmd) -> Result<(), CliError> {
+    if let (Some(baseline), Some(current)) = (&c.baseline, &c.current) {
+        return gate_against(baseline, &load_json(current)?, c.gate_pct);
+    }
+    let doc = if c.ladder {
+        let mut cfg = ScaleConfig::default();
+        cfg.nodes = c.nodes.unwrap_or(cfg.nodes);
+        cfg.threads = c.threads.unwrap_or(cfg.threads);
+        cfg.shards = c.shards;
+        let rungs = scale_bench::run_ladder(&cfg);
+        print!("{}", scale_bench::render_summary(&cfg, &rungs));
+        let doc = scale_bench::to_json(&cfg, &rungs);
+        if c.json {
+            write_artifact("cvm", scale_bench::FILE_NAME, &doc)?;
+        }
+        doc
+    } else {
+        let (nodes, threads) = (c.nodes.map_or(8, |n| n[0]), c.threads.unwrap_or(2));
+        eprintln!("[cvm] bench suite P={nodes} T={threads}");
+        let outcomes = bench::run_suite(c.scale, nodes, threads, c.spans);
+        print!("{}", bench::render_summary(&outcomes));
+        let doc = bench::obs_json(&outcomes);
+        if c.json {
+            for o in &outcomes {
+                write_artifact("cvm", &bench::file_name(o.spec.app), &bench::to_json(o))?;
+            }
+            if c.spans {
+                write_artifact("cvm", bench::OBS_FILE, &doc)?;
+            }
+        }
+        doc
+    };
+    match &c.baseline {
+        Some(baseline) => gate_against(baseline, &doc, c.gate_pct),
+        None => Ok(()),
     }
 }

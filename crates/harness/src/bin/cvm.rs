@@ -1,5 +1,5 @@
-//! `cvm` — tables, single runs, benches and the verification checker
-//! (`cvm check`); see [`cvm_harness::cli`] for commands.
+//! `cvm` — the harness's one binary: tables, single runs, campaigns,
+//! benches and the verification checker; see [`cvm_harness::cli`].
 
 fn main() {
     cvm_harness::cli::run();

@@ -2,187 +2,130 @@
 //! crate, and artifact output (the `BENCH_check.json` baseline and the
 //! replayable `cvm-schedule-<app>.json` counterexample files).
 
+use cvm_dsm::{InjectFault, ProtocolKind};
 use cvm_verify::check::schedule_file_name;
 use cvm_verify::{schedule_to_json, CheckOptions};
 
-use crate::cli::{app_by_name, parse_u64, plan_by_name, usage};
+use crate::cli::{write_artifact, Args, CliError};
 use crate::{AppId, Scale};
 
 /// Default output file for `cvm check --json` (committed under
 /// `baselines/` so the PR gate covers the exploration statistics).
 pub const FILE_NAME: &str = "BENCH_check.json";
 
-/// Parses and runs `cvm check ARGS`. Exits the process: 0 when every app
-/// is clean (or, under `--mutate`, when the mutation was caught), nonzero
-/// otherwise.
-pub fn run_check(args: &[String]) {
-    use cvm_dsm::InjectFault;
+/// What `cvm check` was asked to do.
+#[derive(Debug, Clone)]
+pub struct CheckCmd {
+    /// What to explore.
+    pub options: CheckOptions,
+    /// Where the JSON report goes (`--json` = `BENCH_check.json`,
+    /// `--out FILE`), if anywhere.
+    pub out: Option<String>,
+}
+
+/// Parses `cvm check ARGS`.
+pub fn parse(argv: &[String]) -> Result<CheckCmd, CliError> {
     let mut options = CheckOptions::default();
     let mut apps: Vec<AppId> = Vec::new();
-    let mut json = false;
-    let mut out_path: Option<String> = None;
-    let mut scale_given = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--app" => {
-                let name = it.next().map_or_else(|| usage(), String::as_str);
-                if name == "all" {
-                    apps.extend(AppId::ALL);
-                } else {
-                    apps.push(app_by_name(name).unwrap_or_else(|| usage()));
-                }
-            }
-            "--protocol" => {
-                options.protocol = it
-                    .next()
-                    .and_then(|v| cvm_dsm::ProtocolKind::parse(v))
-                    .unwrap_or_else(|| usage());
-            }
-            "--nodes" => {
-                options.nodes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--threads" => {
-                options.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--schedules" => {
-                options.schedules = it
-                    .next()
-                    .and_then(|v| parse_u64(v))
-                    .unwrap_or_else(|| usage());
-            }
-            "--seed" => {
-                options.seed = it
-                    .next()
-                    .and_then(|v| parse_u64(v))
-                    .unwrap_or_else(|| usage());
-            }
-            "--budget" => {
-                options.budget = it
-                    .next()
-                    .and_then(|v| parse_u64(v))
-                    .unwrap_or_else(|| usage());
-            }
-            "--mutate" => {
-                let spec = it.next().map_or_else(|| usage(), String::as_str);
-                options.inject = Some(InjectFault::parse(spec).unwrap_or_else(|| usage()));
-            }
-            "--faults" => {
-                let name = it.next().map_or_else(|| usage(), String::as_str);
-                options.faults = Some(plan_by_name(name).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown fault plan {name:?}; catalog: {}",
-                        cvm_net::PLAN_CATALOG.join(", ")
-                    );
-                    std::process::exit(2);
-                }));
-            }
-            "--trace-capacity" => {
-                options.trace_capacity = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
+    let mut out: Option<String> = None;
+    let mut scale: Option<Scale> = None;
+    let mut args = Args::new("check", argv);
+    args.each(|a| {
+        match a.flag() {
+            "--app" => apps.extend(a.named("app", |s| match s {
+                "all" => Some(AppId::ALL.to_vec()),
+                _ => AppId::parse(s).map(|app| vec![app]),
+            })?),
+            "--protocol" => options.protocol = a.named("protocol", ProtocolKind::parse)?,
+            "--nodes" => options.nodes = a.positive()?,
+            "--threads" => options.threads = a.positive()?,
+            "--schedules" => options.schedules = a.u64()?,
+            "--seed" => options.seed = a.u64()?,
+            "--budget" => options.budget = a.u64()?,
+            "--mutate" => options.inject = Some(a.named("mutation", InjectFault::parse)?),
+            "--faults" => options.faults = Some(a.plan()?),
+            "--trace-capacity" => options.trace_capacity = a.positive()?,
             "--dpor" => options.dpor = true,
-            "--max-traces" => {
-                options.max_traces = it
-                    .next()
-                    .and_then(|v| parse_u64(v))
-                    .unwrap_or_else(|| usage());
+            "--max-traces" => options.max_traces = a.u64()?,
+            "--json" => {
+                out.get_or_insert_with(|| FILE_NAME.to_owned());
             }
-            "--json" => json = true,
-            "--out" => out_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--scale" => {
-                options.scale = it
-                    .next()
-                    .and_then(|v| Scale::parse(v))
-                    .unwrap_or_else(|| usage());
-                scale_given = true;
-            }
-            "--paper-scale" => {
-                options.scale = Scale::Paper;
-                scale_given = true;
-            }
-            _ => usage(),
+            "--out" => out = Some(a.value()?),
+            "--scale" => scale = Some(a.named("scale", Scale::parse)?),
+            "--paper-scale" => scale = Some(Scale::Paper),
+            _ => return Err(a.unknown()),
         }
+        Ok(())
+    })?;
+    if options.dpor && options.faults.is_some() {
+        // DPOR's soundness rests on deterministic re-execution; a
+        // seeded fault plan perturbs the wire between traces.
+        return Err(args.usage("--dpor requires a deterministic wire; drop --faults"));
     }
-    if options.dpor {
-        if options.faults.is_some() {
-            // DPOR's soundness rests on deterministic re-execution; a
-            // seeded fault plan perturbs the wire between traces.
-            eprintln!("cvm check: --dpor requires a deterministic wire; drop --faults");
-            std::process::exit(2);
-        }
-        if !scale_given {
-            // Exhaustion only terminates on the reduced kernels.
-            options.scale = Scale::Tiny;
-        }
-    }
+    // Exhaustion only terminates on the reduced kernels.
+    let default_scale = if options.dpor {
+        Scale::Tiny
+    } else {
+        options.scale
+    };
+    options.scale = scale.unwrap_or(default_scale);
     if !apps.is_empty() {
         options.apps = apps;
     }
     options.apps.retain(|a| a.supports_threads(options.threads));
+    Ok(CheckCmd { options, out })
+}
+
+/// Runs `cvm check`: Ok when every app is clean (or, under `--mutate`,
+/// when the mutation was caught).
+pub fn run(c: CheckCmd) -> Result<(), CliError> {
+    let options = &c.options;
     let mutation = options
         .inject
         .map_or(String::new(), |f| format!(", mutation {f}"));
-    if options.dpor {
-        eprintln!(
-            "[cvm check] {} app(s), {}x{}, {}, {}, DPOR (cap {} traces){mutation}",
-            options.apps.len(),
-            options.nodes,
-            options.threads,
-            options.protocol,
+    let mode = if options.dpor {
+        format!(
+            "{}, DPOR (cap {} traces)",
             options.scale.slug(),
             options.max_traces
-        );
+        )
     } else {
-        eprintln!(
-            "[cvm check] {} app(s), {}x{}, {}, 1+{} schedules, budget {}{mutation}",
-            options.apps.len(),
-            options.nodes,
-            options.threads,
-            options.protocol,
-            options.schedules,
-            options.budget
-        );
-    }
-    let report = cvm_verify::check::run_check(&options);
+        format!(
+            "1+{} schedules, budget {}",
+            options.schedules, options.budget
+        )
+    };
+    eprintln!(
+        "[cvm check] {} app(s), {}x{}, {}, {mode}{mutation}",
+        options.apps.len(),
+        options.nodes,
+        options.threads,
+        options.protocol,
+    );
+    let report = cvm_verify::check::run_check(options);
     print!("{}", report.render());
     // Every DPOR counterexample becomes a schedule file `cvm run --replay`
     // re-executes byte-identically (the render already points at it).
     for app in &report.apps {
-        let Some(fail) = &app.failure else { continue };
-        let Some(cx) = &fail.script else { continue };
-        let path = schedule_file_name(app.app);
+        let Some(cx) = app.failure.as_ref().and_then(|f| f.script.as_ref()) else {
+            continue;
+        };
         let doc = schedule_to_json(&options.plan(app.app), cx);
-        std::fs::write(&path, doc.to_pretty()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("[cvm check] wrote {path}");
+        write_artifact("cvm check", &schedule_file_name(app.app), &doc)?;
     }
-    if json || out_path.is_some() {
-        let path = out_path.unwrap_or_else(|| FILE_NAME.to_owned());
-        std::fs::write(&path, report.to_json().to_pretty()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("[cvm check] wrote {path}");
+    if let Some(path) = &c.out {
+        write_artifact("cvm check", path, &report.to_json())?;
     }
-    let ok = if options.inject.is_some() {
-        // Self-test: the mutation must be *caught*.
-        if report.clean() {
-            eprintln!("[cvm check] FAIL: injected mutation went undetected");
-        }
-        !report.clean()
+    // Under `--mutate` the run is a self-test: the mutation must be
+    // *caught*, so a clean report is the failure.
+    let mutated = options.inject.is_some();
+    if report.clean() != mutated {
+        return Ok(());
+    }
+    let why = if mutated {
+        "injected mutation went undetected"
     } else {
-        report.clean()
+        "violations found"
     };
-    std::process::exit(i32::from(!ok));
+    Err(CliError::Failed(format!("[cvm check] FAIL: {why}")))
 }

@@ -1,182 +1,332 @@
-//! Command-line driver shared by the `harness` and `cvm` binaries.
+//! Command-line front end of the `cvm` binary: the argument cursor every
+//! subcommand parses with ([`Args`]), the two artifact helpers
+//! ([`write_artifact`], [`gate_against`]) and the dispatcher ([`run`]).
 //!
-//! `harness` keeps its historical name; `cvm` is the same tool under the
-//! system's name, and is what the verification workflow documents
-//! (`cvm check`). Each subcommand's implementation lives in a sibling
-//! module — [`run_cli`](crate::run_cli), [`bench_cli`](crate::bench_cli),
-//! [`sweep_cli`](crate::sweep_cli), [`check_cli`](crate::check_cli) —
-//! this module keeps the shared argument helpers, the usage text and the
-//! dispatcher.
+//! Each subcommand lives in a sibling module as a `parse(&[String]) ->
+//! Result<Config, CliError>` plus a `run(Config) -> Result<(), CliError>`;
+//! its usage section is a paragraph of `usage.txt`. Nothing below [`run`]
+//! prints an error or exits: a bad command line comes back as
+//! [`CliError::Usage`] (exit 2, one line naming the subcommand and flag,
+//! then that subcommand's usage section only), a failed gate or campaign
+//! as [`CliError::Failed`] (exit 1).
+
+use std::fmt;
+use std::str::FromStr;
+
+use cvm_dsm::ProtocolKind;
+use cvm_sim::json::JsonValue;
 
 use crate::tables::{self, Suite};
-use crate::{micro, AppId, Scale};
+use crate::{bench_cli, check_cli, explain, micro, run_cli, serve_cli, sweep_cli, AppId, Scale};
 
-pub(crate) fn usage() -> ! {
-    eprintln!(
-        "usage: cvm <micro|table1|fig1|table2|table3|fig2|table4|table5|latency|ablation|protocols|perturb|all> [--paper-scale]\n         \n         or:    cvm run <barnes|fft|ocean|sor|swm|water-sp|water-nsq>\n         or:    cvm bench [--json] [--nodes N] [--threads T] [--paper-scale]\n         or:    cvm bench --scale [--json] [--nodes LIST] [--threads T] [--shards S]\n         or:    cvm sweep [--json] [--workers N] [--nodes LIST] [--threads LIST]\n         or:    cvm serve [SCENARIO] [--sweep LIST] [--json] [--baseline FILE]\n         or:    cvm faults [--json] [--plan NAME]... [--workers N]\n         or:    cvm check [--dpor] [--app NAME]... [--schedules N] [--faults NAME]\n         or:    cvm explain --run FILE [--span ID | --slowest N | --resource R]\n         \n         run options:\n           --nodes N        processors (default 8)\n           --threads T      threads per node (default 2)\n           --paper-scale    the paper's input sizes\n           --protocol NAME  coherence protocol: lazy-mw | eager-update |\n                            home-lazy (default lazy-mw)\n           --eager          shorthand for --protocol eager-update\n           --lifo           memory-conscious LIFO scheduling\n           --memsim         enable the cache/TLB simulator\n           --shards S       event-core shards (default 1, the sequential\n                            loop); any S produces a byte-identical report,\n                            S > 1 pre-executes independent bursts\n                            concurrently on the host\n           --verify         run the online invariant oracle; findings are\n                            printed and make the exit status nonzero\n           --trace N        record and print the first N protocol events\n           --spans          record the causal span forest; the report JSON\n                            gains a 'spans' section for cvm explain\n           --json FILE      write the full run report as JSON to FILE\n           --chrome-trace FILE\n                            write the protocol trace as Chrome trace-event\n                            JSON (load in chrome://tracing or Perfetto);\n                            with --spans, nested span tracks and flow\n                            events are included\n           --replay FILE    re-execute a cvm-schedule-*.json counterexample\n                            (from cvm check --dpor) byte-identically; the\n                            positional app may be omitted, the exit status\n                            is 0 iff the recorded terminal state and\n                            findings reproduce exactly\n         \n         bench options:\n           --json           additionally write one BENCH_<app>.json per app\n                            (and BENCH_obs.json when --spans is on)\n           --spans          record span forests and emit the span summary\n           --scale          run the node-scaling ladder instead of the\n                            suite: each rung runs shards {{1,S}}, asserts\n                            byte-identical reports, and reports peak\n                            memory and the modelled burst speedup;\n                            --json writes BENCH_scale.json\n           --nodes LIST     (--scale) comma-separated rungs\n                            (default 8,16,32,64)\n           --shards S       (--scale) shard count of the parallel run\n                            (default 8)\n           --baseline FILE  compare against a committed baseline artifact;\n                            exit 1 on regression beyond twice the gate\n           --current FILE   compare FILE against the baseline instead of\n                            running the suite (works for any BENCH_*.json)\n           --gate PCT       regression gate percentage (default 5):\n                            warn above PCT, fail above 2*PCT\n         \n         explain options:\n           --run FILE       report JSON from cvm run --spans --json FILE\n           --slowest N      the N slowest root spans (default 5)\n           --span ID        one span with its ancestor chain\n           --resource R     root spans about one resource (page:17, lock:3,\n                            barrier:2)\n         \n         sweep options:\n           --json           write the aggregated report to BENCH_sweep.json\n           --spans          record span forests in every cell\n           --out FILE       write the aggregated report to FILE instead\n           --md FILE        write the markdown tables to FILE as well\n           --workers N      simulation worker threads (default: one per core);\n                            any value produces byte-identical reports\n           --nodes LIST     comma-separated processor counts (default 4,8,16)\n           --threads LIST   comma-separated threads/node levels (default 1,2,3,4)\n           --shards S       event-core shards for every cell (default 1);\n                            any value produces byte-identical reports\n           --app NAME       restrict to one app (repeatable; default: all 7)\n           --protocol LIST  comma-separated protocols to cross (default\n                            lazy-mw); several add a comparison table\n           --seed S         master seed; each configuration splits its own\n           --paper-scale    the paper's input sizes\n         \n         serve options:\n           SCENARIO         builtin (smoke | session) or a path to an INI\n                            scenario file ([store]/[traffic]/[system]);\n                            default session\n           --rate R         override the offered rate (requests/s)\n           --sweep LIST     comma-separated rate ladder; the summary and\n                            JSON mark the saturation knee\n           --cap N          consecutive-local-grant cap for shard leases\n                            (0 = unbounded local preference)\n           --seed S         master seed; each ladder cell splits its own\n           --workers N      host threads for ladder cells (default: one\n                            per core); byte-identical at any count\n           --shards S       event-core shards per cell (default 1);\n                            byte-identical at any count\n           --json           write BENCH_serve.json\n           --out FILE       write the JSON to FILE instead\n           --baseline FILE  gate against a committed baseline artifact\n           --gate PCT       regression gate percentage (default 5)\n         \n         faults options:\n           --json           write the campaign report to BENCH_faults.json\n           --out FILE       write the campaign report to FILE instead\n           --md FILE        write the markdown degradation tables to FILE\n           --workers N      simulation worker threads (default: one per core);\n                            any value produces byte-identical reports\n           --app NAME       restrict to one app (repeatable; default: all 7)\n           --protocol LIST  comma-separated protocols (default: all 3)\n           --plan NAME      fault plan from the catalog (repeatable;\n                            default: the whole catalog)\n           --nodes N        processors (default 4)\n           --threads T      threads per node (default 2)\n           --seed S         master seed; each cell splits its own\n           --paper-scale    the paper's input sizes\n           exit status is nonzero if any cell violated exactly-once\n           delivery or oracle cleanliness\n         \n         check options:\n           --app NAME       application to check (repeatable; default: all)\n           --protocol NAME  coherence protocol to explore (default lazy-mw)\n           --nodes N        processors (default 2)\n           --threads T      threads per node (default 2)\n           --schedules N    perturbed schedules per app (default 8); an\n                            unperturbed baseline always runs first\n           --seed S         base exploration seed (schedule 0 uses it\n                            verbatim, so reported seeds replay directly)\n           --budget N       scheduler decisions each schedule may perturb\n                            (default 64)\n           --faults NAME    layer a fault plan from the catalog under the\n                            explored schedules (loss, dup, reorder, ...)\n           --mutate KIND[:nth]\n                            inject a protocol mutation (oracle self-test):\n                            drop-notice | reorder-diff | skip-invalidate |\n                            skip-watermark | drop-grant-notice;\n                            exit status then inverts (0 = caught)\n           --trace-capacity N\n                            trace buffer per run (default 4000000)\n           --dpor           exhaustive DPOR exploration of every\n                            inequivalent interleaving instead of seeded\n                            shaking (defaults the scale to tiny; refuses\n                            --faults); failures are minimized into\n                            cvm-schedule-<app>.json replay files\n           --max-traces N   DPOR execution cap (default 20000); hitting it\n                            downgrades the verdict to non-exhaustive\n           --scale NAME     problem size: tiny | small | paper\n           --json           write the report to BENCH_check.json\n           --out FILE       write the report to FILE instead\n           --paper-scale    the paper's input sizes"
-    );
-    std::process::exit(2);
+/// Everything `cvm --help` prints: a synopsis paragraph, then one
+/// "`<cmd>` options:" paragraph per subcommand.
+const USAGE: &str = include_str!("usage.txt");
+
+/// The usage paragraph an error in `cmd` prints: that subcommand's own
+/// section, or the synopsis for a table command or an unknown one.
+fn usage(cmd: &str) -> &'static str {
+    let head = format!("{cmd} options:\n");
+    let mut paragraphs = USAGE.split("\n\n");
+    let synopsis = paragraphs.next().unwrap_or(USAGE);
+    paragraphs
+        .find(|p| p.starts_with(&head))
+        .unwrap_or(synopsis)
 }
 
-pub(crate) fn app_by_name(name: &str) -> Option<AppId> {
-    Some(match name {
-        "barnes" => AppId::Barnes,
-        "fft" => AppId::Fft,
-        "ocean" => AppId::Ocean,
-        "sor" => AppId::Sor,
-        "swm" | "swm750" => AppId::Swm750,
-        "water-sp" => AppId::WaterSp,
-        "water-nsq" => AppId::WaterNsq,
-        _ => return None,
-    })
+/// Why a command stopped early. [`run`] prints it and picks the exit code.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CliError {
+    /// A bad command line (exit 2).
+    Usage {
+        /// The subcommand whose usage section follows the message.
+        cmd: String,
+        /// What was wrong, naming the flag.
+        msg: String,
+    },
+    /// The command ran and failed — a gate regression, a campaign
+    /// violation, an unreadable input (exit 1).
+    Failed(String),
 }
 
-pub(crate) fn parse_u64(s: &str) -> Option<u64> {
-    s.strip_prefix("0x")
-        .map_or_else(|| s.parse().ok(), |hex| u64::from_str_radix(hex, 16).ok())
-}
-
-pub(crate) fn parse_list(s: &str) -> Option<Vec<usize>> {
-    let parts: Vec<usize> = s
-        .split(',')
-        .map(|p| p.trim().parse().ok())
-        .collect::<Option<Vec<_>>>()?;
-    (!parts.is_empty()).then_some(parts)
-}
-
-pub(crate) fn load_json(path: &str) -> cvm_sim::json::JsonValue {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    cvm_sim::json::JsonValue::parse(&text).unwrap_or_else(|e| {
-        eprintln!("{path} is not valid JSON: {e}");
-        std::process::exit(1);
-    })
-}
-
-pub(crate) fn plan_by_name(name: &str) -> Option<&'static str> {
-    cvm_net::PLAN_CATALOG.iter().find(|p| **p == name).copied()
-}
-
-fn run_explain(args: &[String]) {
-    use crate::explain::{explain, Mode};
-    let mut run_path: Option<String> = None;
-    let mut mode = Mode::Slowest(5);
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--run" => run_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--slowest" => {
-                let n = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                mode = Mode::Slowest(n);
-            }
-            "--span" => {
-                let id = it
-                    .next()
-                    .and_then(|v| parse_u64(v))
-                    .unwrap_or_else(|| usage());
-                mode = Mode::Span(id);
-            }
-            "--resource" => {
-                mode = Mode::Resource(it.next().cloned().unwrap_or_else(|| usage()));
-            }
-            _ => usage(),
-        }
-    }
-    let Some(path) = run_path else { usage() };
-    match explain(&load_json(&path), &mode) {
-        Ok(text) => print!("{text}"),
-        Err(e) => {
-            eprintln!("cvm explain: {e}");
-            std::process::exit(1);
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CliError::Usage { cmd, msg } => write!(f, "cvm {cmd}: {msg}"),
+            CliError::Failed(msg) => f.write_str(msg),
         }
     }
 }
 
-/// Entry point shared by both binaries: parses `std::env::args` and
-/// dispatches.
-pub fn run() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("run") {
-        crate::run_cli::run_single(&args[1..]);
-        return;
+/// A cursor over one subcommand's arguments. [`Args::each`] is the
+/// harness's only flag loop; a subcommand's parser is one `match` arm per
+/// flag, pulling operands through the typed accessors.
+#[derive(Debug)]
+pub struct Args<'a> {
+    cmd: &'a str,
+    flag: &'a str,
+    it: std::slice::Iter<'a, String>,
+}
+
+impl<'a> Args<'a> {
+    /// A cursor at the start of `cmd`'s arguments.
+    pub fn new(cmd: &'a str, argv: &'a [String]) -> Self {
+        Args {
+            cmd,
+            flag: "",
+            it: argv.iter(),
+        }
     }
-    if args.first().map(String::as_str) == Some("bench") {
-        crate::bench_cli::run_bench(&args[1..]);
-        return;
+
+    /// Calls `f` once per flag (or positional), with the cursor just past
+    /// it so `f` can pull the flag's operand.
+    pub fn each(
+        &mut self,
+        mut f: impl FnMut(&mut Self) -> Result<(), CliError>,
+    ) -> Result<(), CliError> {
+        while let Some(a) = self.it.next() {
+            self.flag = a;
+            f(self)?;
+        }
+        Ok(())
     }
-    if args.first().map(String::as_str) == Some("sweep") {
-        crate::sweep_cli::run_sweep_cmd(&args[1..]);
-        return;
+
+    /// The flag (or positional) being parsed.
+    pub fn flag(&self) -> &'a str {
+        self.flag
     }
-    if args.first().map(String::as_str) == Some("serve") {
-        crate::serve_cli::run_serve_cmd(&args[1..]);
-        return;
+
+    /// A usage error for this subcommand.
+    pub fn usage(&self, msg: impl fmt::Display) -> CliError {
+        CliError::Usage {
+            cmd: self.cmd.to_owned(),
+            msg: msg.to_string(),
+        }
     }
-    if args.first().map(String::as_str) == Some("faults") {
-        crate::sweep_cli::run_faults_cmd(&args[1..]);
-        return;
+
+    /// A usage error about the current flag's operand.
+    pub fn err(&self, msg: impl fmt::Display) -> CliError {
+        self.usage(format_args!("{}: {msg}", self.flag))
     }
-    if args.first().map(String::as_str) == Some("check") {
-        crate::check_cli::run_check(&args[1..]);
-        return;
+
+    /// The error for a flag this subcommand does not have.
+    pub fn unknown(&self) -> CliError {
+        self.usage(format_args!("unknown flag {:?}", self.flag))
     }
-    if args.first().map(String::as_str) == Some("explain") {
-        run_explain(&args[1..]);
-        return;
+
+    fn operand(&mut self) -> Result<&'a str, CliError> {
+        match self.it.next() {
+            Some(v) => Ok(v),
+            None => Err(self.err("missing value")),
+        }
     }
-    let mut cmd: Option<String> = None;
+
+    fn parsed<T: FromStr<Err: fmt::Display>>(&self, text: &str) -> Result<T, CliError> {
+        text.parse()
+            .map_err(|e| self.err(format_args!("{e}, got {text:?}")))
+    }
+
+    fn positive_of<T: FromStr<Err: fmt::Display> + PartialOrd + Default>(
+        &self,
+        text: &str,
+    ) -> Result<T, CliError> {
+        let n: T = self.parsed(text)?;
+        if n > T::default() {
+            Ok(n)
+        } else {
+            Err(self.err(format_args!("must be positive, got {text:?}")))
+        }
+    }
+
+    /// The flag's operand, parsed (paths are `value::<String>()`).
+    pub fn value<T: FromStr<Err: fmt::Display>>(&mut self) -> Result<T, CliError> {
+        let v = self.operand()?;
+        self.parsed(v)
+    }
+
+    /// An operand that must be greater than zero: node, thread and shard
+    /// counts, rates, the gate percentage.
+    pub fn positive<T: FromStr<Err: fmt::Display> + PartialOrd + Default>(
+        &mut self,
+    ) -> Result<T, CliError> {
+        let v = self.operand()?;
+        self.positive_of(v)
+    }
+
+    /// A comma-separated, non-empty list of positive values.
+    pub fn list<T: FromStr<Err: fmt::Display> + PartialOrd + Default>(
+        &mut self,
+    ) -> Result<Vec<T>, CliError> {
+        let v = self.operand()?;
+        v.split(',')
+            .map(|part| self.positive_of(part.trim()))
+            .collect()
+    }
+
+    /// A `u64` in decimal or `0x` hex (seeds, budgets, span ids).
+    pub fn u64(&mut self) -> Result<u64, CliError> {
+        let v = self.operand()?;
+        let parsed = match v.strip_prefix("0x") {
+            Some(hex) => u64::from_str_radix(hex, 16),
+            None => v.parse(),
+        };
+        parsed.map_err(|e| self.err(format_args!("{e}, got {v:?}")))
+    }
+
+    /// An operand naming one of a closed set (`what` names the set in the
+    /// error).
+    pub fn named<T>(
+        &mut self,
+        what: &str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Result<T, CliError> {
+        let v = self.operand()?;
+        parse(v).ok_or_else(|| self.err(format_args!("unknown {what} {v:?}")))
+    }
+
+    /// An application slug (`sor`, `water-nsq`, …).
+    pub fn app(&mut self) -> Result<AppId, CliError> {
+        self.named("app", AppId::parse)
+    }
+
+    /// A comma-separated, non-empty list of coherence protocols.
+    pub fn protocols(&mut self) -> Result<Vec<ProtocolKind>, CliError> {
+        let v = self.operand()?;
+        v.split(',')
+            .map(|p| {
+                let p = p.trim();
+                ProtocolKind::parse(p)
+                    .ok_or_else(|| self.err(format_args!("unknown protocol {p:?}")))
+            })
+            .collect()
+    }
+
+    /// A fault-plan name from [`cvm_net::PLAN_CATALOG`].
+    pub fn plan(&mut self) -> Result<&'static str, CliError> {
+        let v = self.operand()?;
+        let catalog = cvm_net::PLAN_CATALOG;
+        catalog.iter().find(|p| **p == v).copied().ok_or_else(|| {
+            self.err(format_args!(
+                "unknown fault plan {v:?}; catalog: {}",
+                catalog.join(", ")
+            ))
+        })
+    }
+}
+
+/// Reads and parses a JSON file.
+pub fn load_json(path: &str) -> Result<JsonValue, CliError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CliError::Failed(format!("cannot read {path}: {e}")))?;
+    JsonValue::parse(&text).map_err(|e| CliError::Failed(format!("{path} is not valid JSON: {e}")))
+}
+
+/// Writes `text` to `path` and says so on stderr under `[tag]`.
+pub fn write_text(tag: &str, path: &str, text: &str) -> Result<(), CliError> {
+    std::fs::write(path, text)
+        .map_err(|e| CliError::Failed(format!("cannot write {path}: {e}")))?;
+    eprintln!("[{tag}] wrote {path}");
+    Ok(())
+}
+
+/// Writes a JSON artifact, pretty-printed (the byte-compared form).
+pub fn write_artifact(tag: &str, path: &str, doc: &JsonValue) -> Result<(), CliError> {
+    write_text(tag, path, &doc.to_pretty())
+}
+
+/// Gates `doc` against the baseline artifact at `baseline_path`: prints
+/// the verdict, fails beyond twice `pct`.
+pub fn gate_against(baseline_path: &str, doc: &JsonValue, pct: f64) -> Result<(), CliError> {
+    let outcome = crate::gate::compare(&load_json(baseline_path)?, doc, pct);
+    print!("{}", outcome.render(pct));
+    if outcome.failed() {
+        return Err(CliError::Failed(format!(
+            "regression gate failed against {baseline_path}"
+        )));
+    }
+    Ok(())
+}
+
+type Table = fn(&mut Suite) -> String;
+
+/// Every table artifact by command name, in `all` order; `all` stops
+/// before `perturb`, whose five re-seeded suites run on demand only.
+const TABLES: [(&str, Table); 12] = [
+    ("micro", |_| micro::render(&micro::report())),
+    ("table1", |s| tables::table1(s.scale())),
+    ("fig1", tables::fig1),
+    ("table2", tables::table2),
+    ("table3", tables::table3),
+    ("fig2", tables::fig2),
+    ("table4", tables::table4),
+    ("table5", tables::table5),
+    ("latency", tables::latency),
+    ("ablation", |s| tables::ablation(s.scale())),
+    ("protocols", |s| tables::protocols(s.scale())),
+    ("perturb", |s| tables::perturb(s.scale(), 5)),
+];
+
+fn run_tables(cmd: &str, argv: &[String]) -> Result<(), CliError> {
     let mut scale = Scale::Small;
-    for a in &args {
-        match a.as_str() {
+    let mut args = Args::new(cmd, argv);
+    args.each(|a| {
+        match a.flag() {
             "--paper-scale" => scale = Scale::Paper,
             "--small" => scale = Scale::Small,
-            s if !s.starts_with('-') && cmd.is_none() => cmd = Some(s.to_owned()),
-            _ => usage(),
+            _ => return Err(a.unknown()),
         }
-    }
-    let cmd = cmd.unwrap_or_else(|| usage());
+        Ok(())
+    })?;
+    let selected = match cmd {
+        "all" => &TABLES[..TABLES.len() - 1],
+        _ => match TABLES.iter().position(|(name, _)| *name == cmd) {
+            Some(i) => &TABLES[i..=i],
+            None => return Err(args.usage("unknown command")),
+        },
+    };
     let mut suite = Suite::new(scale);
-    match cmd.as_str() {
-        "micro" => print!("{}", micro::render(&micro::report())),
-        "table1" => print!("{}", tables::table1(scale)),
-        "fig1" => print!("{}", tables::fig1(&mut suite)),
-        "table2" => print!("{}", tables::table2(&mut suite)),
-        "table3" => print!("{}", tables::table3(&mut suite)),
-        "fig2" => print!("{}", tables::fig2(&mut suite)),
-        "table4" => print!("{}", tables::table4(&mut suite)),
-        "table5" => print!("{}", tables::table5(&mut suite)),
-        "latency" => print!("{}", tables::latency(&mut suite)),
-        "ablation" => print!("{}", tables::ablation(scale)),
-        "protocols" => print!("{}", tables::protocols(scale)),
-        "perturb" => print!("{}", tables::perturb(scale, 5)),
-        "all" => {
-            print!("{}", micro::render(&micro::report()));
-            println!();
-            print!("{}", tables::table1(scale));
-            println!();
-            print!("{}", tables::fig1(&mut suite));
-            println!();
-            print!("{}", tables::table2(&mut suite));
-            println!();
-            print!("{}", tables::table3(&mut suite));
-            println!();
-            print!("{}", tables::fig2(&mut suite));
-            println!();
-            print!("{}", tables::table4(&mut suite));
-            println!();
-            print!("{}", tables::table5(&mut suite));
-            println!();
-            print!("{}", tables::latency(&mut suite));
-            println!();
-            print!("{}", tables::ablation(scale));
-            println!();
-            print!("{}", tables::protocols(scale));
-        }
-        _ => usage(),
+    let rendered: Vec<String> = selected
+        .iter()
+        .map(|(_, table)| table(&mut suite))
+        .collect();
+    print!("{}", rendered.join("\n"));
+    Ok(())
+}
+
+/// Runs subcommand `cmd` over its arguments.
+pub fn dispatch(cmd: &str, argv: &[String]) -> Result<(), CliError> {
+    match cmd {
+        "run" => run_cli::run(run_cli::parse(argv)?),
+        "bench" => bench_cli::run(bench_cli::parse(argv)?),
+        "sweep" => sweep_cli::run_sweep(sweep_cli::parse_sweep(argv)?),
+        "faults" => sweep_cli::run_faults(sweep_cli::parse_faults(argv)?),
+        "serve" => serve_cli::run(serve_cli::parse(argv)?),
+        "check" => check_cli::run(check_cli::parse(argv)?),
+        "explain" => explain::run(explain::parse(argv)?),
+        _ => run_tables(cmd, argv),
+    }
+}
+
+/// Entry point of the `cvm` binary: parses `std::env::args`, dispatches,
+/// and is the only place that prints an error or exits.
+pub fn run() {
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    // The subcommand is the first non-flag word, so `cvm --paper-scale
+    // all` keeps working; `cvm --help` has none and gets everything.
+    let Some(at) = argv.iter().position(|a| !a.starts_with('-')) else {
+        eprint!("{USAGE}");
+        std::process::exit(2);
+    };
+    let cmd = argv.remove(at);
+    if let Err(e) = dispatch(&cmd, &argv) {
+        eprintln!("{e}");
+        let code = match &e {
+            CliError::Failed(_) => 1,
+            CliError::Usage { cmd, .. } => {
+                eprintln!("{}", usage(cmd).trim_end());
+                2
+            }
+        };
+        std::process::exit(code);
     }
 }

@@ -16,6 +16,35 @@ use std::fmt::Write as _;
 
 use cvm_sim::json::JsonValue;
 
+use crate::cli::{load_json, Args, CliError};
+
+/// Parses `cvm explain ARGS` into the report path and the selection.
+pub fn parse(argv: &[String]) -> Result<(String, Mode), CliError> {
+    let mut path: Option<String> = None;
+    let mut mode = Mode::Slowest(5);
+    let mut args = Args::new("explain", argv);
+    args.each(|a| {
+        match a.flag() {
+            "--run" => path = Some(a.value()?),
+            "--slowest" => mode = Mode::Slowest(a.value()?),
+            "--span" => mode = Mode::Span(a.u64()?),
+            "--resource" => mode = Mode::Resource(a.value()?),
+            _ => return Err(a.unknown()),
+        }
+        Ok(())
+    })?;
+    let path = path.ok_or_else(|| args.usage("--run FILE is required"))?;
+    Ok((path, mode))
+}
+
+/// Runs `cvm explain` over the report at `path`.
+pub fn run((path, mode): (String, Mode)) -> Result<(), CliError> {
+    let text = explain(&load_json(&path)?, &mode)
+        .map_err(|e| CliError::Failed(format!("cvm explain: {e}")))?;
+    print!("{text}");
+    Ok(())
+}
+
 /// Which spans to render.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Mode {

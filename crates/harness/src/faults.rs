@@ -20,7 +20,6 @@
 
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
 
 use cvm_apps::{build_app, AppId, Scale};
 use cvm_dsm::{CvmBuilder, CvmConfig, FindingSink, ProtocolKind, RunReport};
@@ -34,7 +33,7 @@ use crate::bench::slug;
 pub const FILE_NAME: &str = "BENCH_faults.json";
 
 /// What to run: the campaign grid.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultsConfig {
     /// Problem scale.
     pub scale: Scale,
@@ -117,15 +116,6 @@ impl FaultsConfig {
         }
         specs
     }
-
-    /// The effective worker count.
-    pub fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        }
-    }
 }
 
 /// A stable per-cell salt: only the grid coordinates may matter, never
@@ -193,11 +183,7 @@ pub fn run_cell(spec: FaultSpec) -> FaultOutcome {
     let (report, panic) = match outcome {
         Ok(report) => (Some(report), None),
         Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
+            let msg = cvm_sim::coop::panic_message(payload.as_ref());
             violations.push(format!("panicked: {msg}"));
             (None, Some(msg))
         }
@@ -234,47 +220,29 @@ pub struct FaultsReport {
     pub config: FaultsConfig,
     /// One outcome per grid cell, in [`FaultsConfig::specs`] order.
     pub outcomes: Vec<FaultOutcome>,
-    /// Host wall-clock, milliseconds (diagnostic only — never
-    /// serialized).
-    pub host_wall_ms: f64,
 }
 
 /// Runs the campaign on the worker pool, results in grid order.
 pub fn run_campaign(config: FaultsConfig) -> FaultsReport {
-    let specs = config.specs();
-    let workers = config.effective_workers();
-    eprintln!("[faults] {} cells on {} worker(s)", specs.len(), workers);
-    let started = Instant::now();
-    let outcomes = workq::run_indexed(workers, specs, |_, spec| {
-        let t0 = Instant::now();
-        let outcome = run_cell(spec);
-        let status = if !outcome.clean() {
+    let label = |o: &FaultOutcome| {
+        let status = if !o.clean() {
             "VIOLATION"
-        } else if outcome.degraded() {
+        } else if o.degraded() {
             "degraded"
         } else {
             "ok"
         };
-        eprintln!(
-            "[faults] {} [{}] plan={} {status} in {:.2}s host",
-            spec.app,
-            spec.protocol.slug(),
-            spec.plan,
-            t0.elapsed().as_secs_f64()
-        );
-        outcome
-    });
-    let host_wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    eprintln!(
-        "[faults] complete: {} cells in {:.2}s host wall-clock",
-        outcomes.len(),
-        host_wall_ms / 1e3
+        let s = &o.spec;
+        format!("{} [{}] plan={} {status}", s.app, s.protocol.slug(), s.plan)
+    };
+    let outcomes = crate::campaign::run(
+        "faults",
+        config.workers,
+        config.specs(),
+        label,
+        |_, spec| run_cell(spec),
     );
-    FaultsReport {
-        config,
-        outcomes,
-        host_wall_ms,
-    }
+    FaultsReport { config, outcomes }
 }
 
 impl FaultsReport {
@@ -283,12 +251,12 @@ impl FaultsReport {
         self.outcomes.iter().all(FaultOutcome::clean)
     }
 
-    /// The fault-free baseline for `(protocol, app)` — the `none` plan's
-    /// outcome, when the campaign included it.
-    fn baseline(&self, protocol: ProtocolKind, app: AppId) -> Option<&FaultOutcome> {
+    /// The outcome at one grid point, if the campaign ran it; the `none`
+    /// plan's is the fault-free baseline of its `(protocol, app)` row.
+    fn cell(&self, protocol: ProtocolKind, app: AppId, plan: &str) -> Option<&FaultOutcome> {
         self.outcomes
             .iter()
-            .find(|o| o.spec.protocol == protocol && o.spec.app == app && o.spec.plan == "none")
+            .find(|o| o.spec.protocol == protocol && o.spec.app == app && o.spec.plan == plan)
     }
 
     /// The whole campaign as one JSON document (`BENCH_faults.json`).
@@ -301,15 +269,8 @@ impl FaultsReport {
         obj.set("seed", self.config.seed);
         obj.set("nodes", self.config.nodes);
         obj.set("threads", self.config.threads);
-        let mut plans = JsonValue::array();
-        for &p in &self.config.plans {
-            plans.push(p);
-        }
-        obj.set("plans", plans);
-        let mut cells = JsonValue::array();
-        for o in &self.outcomes {
-            cells.push(self.cell_json(o));
-        }
+        obj.set("plans", self.config.plans.clone());
+        let cells: Vec<JsonValue> = self.outcomes.iter().map(|o| self.cell_json(o)).collect();
         obj.set("cells", cells);
         obj.set("clean", self.clean());
         obj
@@ -324,7 +285,7 @@ impl FaultsReport {
         row.set("seed", o.spec.seed);
         if let Some(r) = &o.report {
             row.set("total_ns", r.total_time.as_ns());
-            if let Some(b) = self.baseline(o.spec.protocol, o.spec.app) {
+            if let Some(b) = self.cell(o.spec.protocol, o.spec.app, "none") {
                 if let Some(base) = &b.report {
                     row.set(
                         "slowdown_vs_none",
@@ -332,21 +293,7 @@ impl FaultsReport {
                     );
                 }
             }
-            let l = &r.loss;
-            let mut loss = JsonValue::object();
-            loss.set("sends", l.sends);
-            loss.set("delivered", l.delivered);
-            loss.set("gave_up", l.gave_up);
-            loss.set("dropped", l.dropped);
-            loss.set("ack_drops", l.ack_drops);
-            loss.set("corrupt_drops", l.corrupt_drops);
-            loss.set("partition_drops", l.partition_drops);
-            loss.set("duplicates_injected", l.duplicates_injected);
-            loss.set("reorders_injected", l.reorders_injected);
-            loss.set("retransmissions", l.retransmissions);
-            loss.set("duplicates_suppressed", l.duplicates_suppressed);
-            loss.set("acks_sent", l.acks_sent);
-            row.set("loss", loss);
+            row.set("loss", r.loss.to_json());
             row.set("degraded", r.degraded());
             if r.degraded() {
                 row.set("unfinished_threads", r.unfinished_threads);
@@ -357,11 +304,7 @@ impl FaultsReport {
             row.set("panic", p.as_str());
         }
         if !o.violations.is_empty() {
-            let mut v = JsonValue::array();
-            for s in &o.violations {
-                v.push(s.as_str());
-            }
-            row.set("violations", v);
+            row.set("violations", o.violations.clone());
         }
         row
     }
@@ -383,11 +326,8 @@ impl FaultsReport {
             for &app in &self.config.apps {
                 let _ = write!(out, "| {} | {} |", app.name(), protocol.slug());
                 for &plan in &self.config.plans {
-                    let cell = self.outcomes.iter().find(|o| {
-                        o.spec.protocol == protocol && o.spec.app == app && o.spec.plan == plan
-                    });
-                    match cell {
-                        Some(o) => match (&o.report, self.baseline(protocol, app)) {
+                    match self.cell(protocol, app, plan) {
+                        Some(o) => match (&o.report, self.cell(protocol, app, "none")) {
                             (Some(r), Some(b)) => match &b.report {
                                 Some(base) => {
                                     let s = r.total_time.as_ns() as f64

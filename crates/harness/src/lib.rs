@@ -19,6 +19,7 @@
 #![warn(missing_docs)]
 pub mod bench;
 pub mod bench_cli;
+pub mod campaign;
 pub mod check_cli;
 pub mod cli;
 pub mod explain;

@@ -1,99 +1,113 @@
 //! `cvm run` — single-run driver: one app, one configuration, optional
 //! report/trace artifacts, and the DPOR counterexample replayer.
 
-use crate::cli::{app_by_name, load_json, usage};
+use cvm_apps::build_app;
+use cvm_dsm::{CvmBuilder, ProtocolKind};
+
+use crate::cli::{load_json, write_artifact, write_text, Args, CliError};
+use crate::runner::{config_for, RunSpec};
 use crate::{AppId, Scale};
 
-pub(crate) fn run_single(args: &[String]) {
-    use cvm_apps::build_app;
-    use cvm_dsm::{CvmBuilder, CvmConfig, ProtocolKind};
-    let mut app = None;
-    let mut nodes = 8usize;
-    let mut threads = 2usize;
-    let mut scale = Scale::Small;
-    let mut protocol = ProtocolKind::LazyMultiWriter;
-    let mut lifo = false;
-    let mut memsim = false;
-    let mut verify = false;
-    let mut trace = 0usize;
-    let mut spans = false;
-    let mut shards = 1usize;
-    let mut json_path: Option<String> = None;
-    let mut chrome_path: Option<String> = None;
-    let mut replay_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--nodes" => {
-                nodes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--paper-scale" => scale = Scale::Paper,
-            "--protocol" => {
-                protocol = it
-                    .next()
-                    .and_then(|v| ProtocolKind::parse(v))
-                    .unwrap_or_else(|| usage());
-            }
-            "--eager" => protocol = ProtocolKind::EagerUpdate,
-            "--lifo" => lifo = true,
-            "--memsim" => memsim = true,
+/// What `cvm run` was asked to do.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunCmd {
+    /// `--replay FILE`: re-execute a recorded schedule. The file names
+    /// the application; a positional one must agree with it.
+    Replay(String, Option<AppId>),
+    /// One run.
+    Single {
+        /// Application, geometry, protocol and switches.
+        spec: RunSpec,
+        /// `--verify`: run under the oracle and the offline race replay.
+        verify: bool,
+        /// `--trace N`: print the first N protocol events (0 = off).
+        trace: usize,
+        /// `--json FILE`: the full run report.
+        json: Option<String>,
+        /// `--chrome-trace FILE`: the Chrome trace-event export.
+        chrome: Option<String>,
+    },
+}
+
+/// Parses `cvm run ARGS`.
+pub fn parse(argv: &[String]) -> Result<RunCmd, CliError> {
+    // The positional application replaces the placeholder below.
+    let mut spec = RunSpec::new(AppId::Sor, Scale::Small, 8, 2);
+    let (mut app, mut verify, mut trace) = (None, false, 0);
+    let (mut json, mut chrome, mut replay) = (None, None, None);
+    let mut args = Args::new("run", argv);
+    args.each(|a| {
+        match a.flag() {
+            "--nodes" => spec.nodes = a.positive()?,
+            "--threads" => spec.threads = a.positive()?,
+            "--paper-scale" => spec.scale = Scale::Paper,
+            "--protocol" => spec.protocol = a.named("protocol", ProtocolKind::parse)?,
+            "--eager" => spec.protocol = ProtocolKind::EagerUpdate,
+            "--lifo" => spec.lifo = true,
+            "--memsim" => spec.memsim = true,
             "--verify" => verify = true,
-            "--trace" => {
-                trace = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
+            "--trace" => trace = a.value()?,
+            "--spans" => spec.spans = true,
+            "--shards" => spec.shards = a.positive()?,
+            "--json" => json = Some(a.value()?),
+            "--chrome-trace" => chrome = Some(a.value()?),
+            "--replay" => replay = Some(a.value()?),
+            name if !name.starts_with('-') && app.is_none() => {
+                let known = AppId::parse(name);
+                app = Some(known.ok_or_else(|| a.usage(format_args!("unknown app {name:?}")))?);
             }
-            "--spans" => spans = true,
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&s: &usize| s > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--json" => json_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--chrome-trace" => chrome_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--replay" => replay_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            name if app.is_none() => {
-                app = app_by_name(name).or_else(|| usage());
-            }
-            _ => usage(),
+            _ => return Err(a.unknown()),
         }
+        Ok(())
+    })?;
+    if let Some(path) = replay {
+        return Ok(RunCmd::Replay(path, app));
     }
-    if let Some(path) = &replay_path {
-        run_replay(app, path);
+    spec.app = app.ok_or_else(|| args.usage("missing application"))?;
+    if !spec.app.supports_threads(spec.threads) {
+        let msg = format_args!(
+            "{} does not support {} threads per node",
+            spec.app, spec.threads
+        );
+        return Err(args.usage(msg));
     }
-    let Some(app) = app else { usage() };
-    if !app.supports_threads(threads) {
-        eprintln!("{app} does not support {threads} threads per node");
-        std::process::exit(2);
-    }
-    let mut cfg = CvmConfig::paper(nodes, threads);
-    cfg.protocol = protocol;
-    cfg.lifo_schedule = lifo;
-    cfg.memsim_enabled = memsim;
+    Ok(RunCmd::Single {
+        spec,
+        verify,
+        trace,
+        json,
+        chrome,
+    })
+}
+
+/// Runs `cvm run`: fails on oracle findings under `--verify`, a diverged
+/// `--replay`, or an unwritable artifact.
+pub fn run(cmd: RunCmd) -> Result<(), CliError> {
+    let (spec, verify, trace, json, chrome) = match cmd {
+        RunCmd::Replay(path, app) => return run_replay(app, &path),
+        RunCmd::Single {
+            spec,
+            verify,
+            trace,
+            json,
+            chrome,
+        } => (spec, verify, trace, json, chrome),
+    };
+    let (app, nodes, threads) = (spec.app, spec.nodes, spec.threads);
+    let mut cfg = config_for(&spec);
     cfg.verify = verify;
-    cfg.spans = spans;
-    cfg.shards = shards;
     cfg.trace_capacity = trace;
-    if (chrome_path.is_some() || verify) && trace == 0 {
+    if (chrome.is_some() || verify) && trace == 0 {
         // The timeline export and the offline race replay need events;
         // default to a generous buffer.
         cfg.trace_capacity = 1 << 20;
     }
     let mut b = CvmBuilder::new(cfg);
-    let body = build_app(&mut b, app, scale);
-    eprintln!("[harness] running {app} P={nodes} T={threads} protocol={protocol} shards={shards}");
+    let body = build_app(&mut b, app, spec.scale);
+    eprintln!(
+        "[cvm] running {app} P={nodes} T={threads} protocol={} shards={}",
+        spec.protocol, spec.shards
+    );
     let report = b.run(body);
     println!("{report}");
     println!(
@@ -111,11 +125,11 @@ pub(crate) fn run_single(args: &[String]) {
             report.stats.updates_pushed, report.stats.copies_dropped
         );
     }
-    if shards > 1 {
+    if spec.shards > 1 {
         // Host-side planner observability; deliberately on stderr so
         // stdout stays byte-identical to the sequential run.
         eprintln!(
-            "[harness] planner pre-executed {} bursts (overlap saved {} ns of {} ns burst time)",
+            "[cvm] planner pre-executed {} bursts (overlap saved {} ns of {} ns burst time)",
             report.planned_bursts, report.overlap_saved_ns, report.burst_total_ns
         );
     }
@@ -148,26 +162,18 @@ pub(crate) fn run_single(args: &[String]) {
             }
         }
     }
-    if let Some(path) = &json_path {
-        let doc = report.to_json(crate::bench::TOP_N);
-        std::fs::write(path, doc.to_pretty()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("[harness] wrote {path}");
+    if let Some(path) = &json {
+        write_artifact("cvm", path, &report.to_json(crate::bench::TOP_N))?;
     }
-    if let Some(path) = &chrome_path {
-        let Some(t) = &report.trace else {
-            eprintln!("--chrome-trace needs tracing (internal error)");
-            std::process::exit(1);
-        };
+    if let Some(path) = &chrome {
+        let t = report
+            .trace
+            .as_ref()
+            .expect("--chrome-trace enables tracing");
         let doc = cvm_dsm::chrome_trace_with_spans(t, nodes, report.spans.as_ref());
-        std::fs::write(path, doc.to_string()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        write_text("cvm", path, &doc.to_string())?;
         eprintln!(
-            "[harness] wrote {path} ({} trace events) — load in chrome://tracing or ui.perfetto.dev",
+            "[cvm] {} trace events — load {path} in chrome://tracing or ui.perfetto.dev",
             t.len()
         );
     }
@@ -177,40 +183,41 @@ pub(crate) fn run_single(args: &[String]) {
             Some(t) if t.overflow() == 0 => {
                 findings.extend(cvm_verify::replay_race_check(t, nodes));
             }
-            _ => eprintln!("[harness] trace truncated; offline race replay skipped"),
+            _ => eprintln!("[cvm] trace truncated; offline race replay skipped"),
         }
-        if findings.is_empty() {
-            println!("verify: 0 findings");
-        } else {
-            for f in &findings {
-                println!("verify: {f}");
-            }
-            std::process::exit(1);
+        for f in &findings {
+            println!("verify: {f}");
         }
+        if !findings.is_empty() {
+            return Err(CliError::Failed(format!(
+                "verify: {} finding(s)",
+                findings.len()
+            )));
+        }
+        println!("verify: 0 findings");
     }
+    Ok(())
 }
 
 /// `cvm run [APP] --replay FILE`: re-execute a DPOR counterexample
-/// byte-identically from its schedule file. Exit 0 iff the recorded
+/// byte-identically from its schedule file. Ok iff the recorded
 /// terminal-state fingerprint and findings reproduce exactly.
-fn run_replay(app: Option<AppId>, path: &str) -> ! {
-    let sched = cvm_verify::schedule_from_json(&load_json(path)).unwrap_or_else(|e| {
-        eprintln!("{path}: {e}");
-        std::process::exit(2);
-    });
-    if let Some(a) = app {
-        if a != sched.plan.app {
-            eprintln!(
-                "{path} records a schedule for {}, not {}",
-                sched.plan.app.slug(),
-                a.slug()
-            );
-            std::process::exit(2);
-        }
-    }
+fn run_replay(app: Option<AppId>, path: &str) -> Result<(), CliError> {
+    let bad_file = |msg: String| CliError::Usage {
+        cmd: "run".to_owned(),
+        msg: format!("--replay: {path}: {msg}"),
+    };
+    let sched = cvm_verify::schedule_from_json(&load_json(path)?).map_err(bad_file)?;
     let plan = sched.plan;
+    if let Some(a) = app.filter(|&a| a != plan.app) {
+        return Err(bad_file(format!(
+            "records a schedule for {}, not {}",
+            plan.app.slug(),
+            a.slug()
+        )));
+    }
     eprintln!(
-        "[harness] replaying {} pinned pick(s) for {} P={} T={} protocol={}",
+        "[cvm] replaying {} pinned pick(s) for {} P={} T={} protocol={}",
         sched.choices.len(),
         plan.app.slug(),
         plan.nodes,
@@ -228,10 +235,11 @@ fn run_replay(app: Option<AppId>, path: &str) -> ! {
         "state hash {:016x} (recorded {:016x})",
         result.state_hash, sched.state_hash
     );
-    if result.state_hash == sched.state_hash {
-        println!("replay: byte-identical to the recorded counterexample");
-        std::process::exit(0);
+    if result.state_hash != sched.state_hash {
+        return Err(CliError::Failed(
+            "replay: DIVERGED from the recorded schedule".to_owned(),
+        ));
     }
-    eprintln!("replay: DIVERGED from the recorded schedule");
-    std::process::exit(1);
+    println!("replay: byte-identical to the recorded counterexample");
+    Ok(())
 }

@@ -99,11 +99,14 @@ impl RunOutcome {
     }
 }
 
-fn config_for(spec: &RunSpec) -> CvmConfig {
+/// The paper-environment configuration `spec` describes.
+pub(crate) fn config_for(spec: &RunSpec) -> CvmConfig {
     let mut cfg = CvmConfig::paper(spec.nodes, spec.threads);
     cfg.memsim_enabled = spec.memsim;
     cfg.aggregate_barriers = spec.aggregate_barriers;
-    cfg.lifo_schedule = spec.lifo;
+    if spec.lifo {
+        cfg.pick.base = cvm_sim::BaseOrder::Lifo;
+    }
     cfg.protocol = spec.protocol;
     cfg.jitter_max = cvm_sim::SimDuration::from_us(spec.jitter_us);
     cfg.prefer_local_lock_waiters = spec.prefer_local_locks;

@@ -47,7 +47,7 @@ pub const DEFAULT_NODES: &[usize] = &[8, 16, 32, 64];
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// Ladder configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScaleConfig {
     /// Application under test (default Barnes — the paper's most
     /// communication-heavy tree code).

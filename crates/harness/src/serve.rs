@@ -18,7 +18,6 @@
 //! Host wall-clock goes to stderr only.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use cvm_apps::kv::scenario::ServeScenario;
 use cvm_apps::kv::{self};
@@ -40,7 +39,7 @@ pub const KEEPUP_OVERHANG: f64 = 0.25;
 
 /// One serve invocation: the scenario plus host-side execution knobs
 /// (which, by construction, never change the artifact's bytes).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// What to run.
     pub scenario: ServeScenario,
@@ -123,9 +122,6 @@ pub struct ServeReport {
     pub config: ServeConfig,
     /// One cell per ladder rate, in [`ServeConfig::rates`] order.
     pub cells: Vec<ServeCell>,
-    /// Host wall-clock, milliseconds (stderr diagnostics only — never
-    /// serialized).
-    pub host_wall_ms: f64,
 }
 
 /// Runs one ladder cell.
@@ -151,40 +147,23 @@ fn run_cell(sc: &ServeScenario, shards: usize, idx: usize, rate: f64) -> ServeCe
 
 /// Runs the scenario's ladder on the worker pool.
 pub fn run_serve(config: ServeConfig) -> ServeReport {
-    let rates = config.rates();
-    let workers = if config.workers > 0 {
-        config.workers
-    } else {
-        std::thread::available_parallelism().map_or(1, usize::from)
+    let label = |c: &ServeCell| {
+        format!(
+            "rate {:.0} rps: {} served in {:.1} virtual ms",
+            c.rate_rps,
+            c.served,
+            c.report.total_ms()
+        )
     };
-    eprintln!(
-        "[serve] scenario {:?}: {} rate cell(s) on {} worker(s)",
-        config.scenario.name,
-        rates.len(),
-        workers
+    let (sc, shards) = (&config.scenario, config.shards);
+    let cells = crate::campaign::run(
+        "serve",
+        config.workers,
+        config.rates(),
+        label,
+        |idx, rate| run_cell(sc, shards, idx, rate),
     );
-    let started = Instant::now();
-    let sc = config.scenario.clone();
-    let shards = config.shards;
-    let jobs: Vec<(usize, f64)> = rates.into_iter().enumerate().collect();
-    let cells = workq::run_indexed(workers, jobs, |_, (idx, rate)| {
-        let t0 = Instant::now();
-        let cell = run_cell(&sc, shards, idx, rate);
-        eprintln!(
-            "[serve] rate {:.0} rps: {} served in {:.1} virtual ms ({:.2}s host)",
-            rate,
-            cell.served,
-            cell.report.total_ms(),
-            t0.elapsed().as_secs_f64()
-        );
-        cell
-    });
-    let host_wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    ServeReport {
-        config,
-        cells,
-        host_wall_ms,
-    }
+    ServeReport { config, cells }
 }
 
 impl ServeReport {
@@ -216,10 +195,7 @@ impl ServeReport {
         scenario.set("local_grant_cap", u64::from(sc.local_grant_cap));
         scenario.set("seed", sc.seed);
         obj.set("scenario", scenario);
-        let mut cells = JsonValue::array();
-        for c in &self.cells {
-            cells.push(self.cell_json(c));
-        }
+        let cells: Vec<JsonValue> = self.cells.iter().map(|c| self.cell_json(c)).collect();
         obj.set("cells", cells);
         match self.knee() {
             Some((idx, cell)) => {

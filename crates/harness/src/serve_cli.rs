@@ -8,112 +8,74 @@
 
 use cvm_apps::kv::scenario::ServeScenario;
 
-use crate::cli::{load_json, parse_u64, usage};
+use crate::cli::{gate_against, write_artifact, Args, CliError};
 use crate::serve::{run_serve, ServeConfig, FILE_NAME};
 
+/// What `cvm serve` was asked to do.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServeCmd {
+    /// The resolved scenario (flag overrides applied) and host knobs.
+    pub cfg: ServeConfig,
+    /// Where the JSON report goes (`--json` = `BENCH_serve.json`,
+    /// `--out FILE`), if anywhere.
+    pub out: Option<String>,
+    /// `--baseline FILE`: gate the report against FILE.
+    pub baseline: Option<String>,
+    /// `--gate PCT`: warn above PCT, fail above twice it.
+    pub gate_pct: f64,
+}
+
 /// Resolves the positional scenario argument: builtin name or file path.
-fn load_scenario(arg: &str) -> ServeScenario {
+fn load_scenario(args: &Args<'_>, arg: &str) -> Result<ServeScenario, CliError> {
     if let Some(sc) = ServeScenario::builtin(arg) {
-        return sc;
+        return Ok(sc);
     }
     if !arg.contains('/') && !arg.contains('.') {
-        eprintln!(
+        return Err(args.usage(format_args!(
             "unknown scenario {arg:?}; builtins: {} (or pass a file path)",
             ServeScenario::BUILTINS.join(", ")
-        );
-        std::process::exit(2);
+        )));
     }
-    let text = std::fs::read_to_string(arg).unwrap_or_else(|e| {
-        eprintln!("cannot read {arg}: {e}");
-        std::process::exit(1);
-    });
+    let text = std::fs::read_to_string(arg)
+        .map_err(|e| CliError::Failed(format!("cannot read {arg}: {e}")))?;
     let stem = std::path::Path::new(arg)
         .file_stem()
         .and_then(|s| s.to_str())
         .unwrap_or(arg);
-    ServeScenario::parse(stem, &text).unwrap_or_else(|e| {
-        eprintln!("{arg}: {e}");
-        std::process::exit(1);
-    })
+    ServeScenario::parse(stem, &text).map_err(|e| CliError::Failed(format!("{arg}: {e}")))
 }
 
-pub(crate) fn run_serve_cmd(args: &[String]) {
-    let mut scenario_arg: Option<String> = None;
-    let mut workers = 0usize;
-    let mut shards = 1usize;
-    let mut json = false;
-    let mut out_path: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut gate_pct = 5.0f64;
+/// Parses `cvm serve ARGS` and loads the scenario it names.
+pub fn parse(argv: &[String]) -> Result<ServeCmd, CliError> {
+    let mut scenario_arg: Option<&str> = None;
+    let (mut workers, mut shards) = (0usize, 1usize);
+    let mut out: Option<String> = None;
+    let (mut baseline, mut gate_pct) = (None, 5.0);
     let mut rate: Option<f64> = None;
     let mut sweep: Option<Vec<f64>> = None;
     let mut cap: Option<u32> = None;
     let mut seed: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--out" => out_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--baseline" => baseline = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--gate" => {
-                gate_pct = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|p: &f64| *p > 0.0)
-                    .unwrap_or_else(|| usage());
+    let mut args = Args::new("serve", argv);
+    args.each(|a| {
+        match a.flag() {
+            "--json" => {
+                out.get_or_insert_with(|| FILE_NAME.to_owned());
             }
-            "--workers" => {
-                workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&s: &usize| s > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--rate" => {
-                rate = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|r: &f64| *r > 0.0);
-                if rate.is_none() {
-                    usage();
-                }
-            }
-            "--sweep" => {
-                let list = it.next().map_or_else(|| usage(), String::as_str);
-                let rates: Option<Vec<f64>> = list
-                    .split(',')
-                    .map(|s| s.trim().parse().ok().filter(|r: &f64| *r > 0.0))
-                    .collect();
-                sweep = rates.filter(|r| !r.is_empty());
-                if sweep.is_none() {
-                    usage();
-                }
-            }
-            "--cap" => {
-                cap = it.next().and_then(|v| v.parse().ok());
-                if cap.is_none() {
-                    usage();
-                }
-            }
-            "--seed" => {
-                seed = it.next().and_then(|v| parse_u64(v));
-                if seed.is_none() {
-                    usage();
-                }
-            }
-            s if !s.starts_with('-') && scenario_arg.is_none() => {
-                scenario_arg = Some(s.to_owned());
-            }
-            _ => usage(),
+            "--out" => out = Some(a.value()?),
+            "--baseline" => baseline = Some(a.value()?),
+            "--gate" => gate_pct = a.positive()?,
+            "--workers" => workers = a.value()?,
+            "--shards" => shards = a.positive()?,
+            "--rate" => rate = Some(a.positive()?),
+            "--sweep" => sweep = Some(a.list()?),
+            "--cap" => cap = Some(a.value()?),
+            "--seed" => seed = Some(a.u64()?),
+            name if !name.starts_with('-') && scenario_arg.is_none() => scenario_arg = Some(name),
+            _ => return Err(a.unknown()),
         }
-    }
-    let mut scenario = load_scenario(scenario_arg.as_deref().unwrap_or("session"));
+        Ok(())
+    })?;
+    let mut scenario = load_scenario(&args, scenario_arg.unwrap_or("session"))?;
     if let Some(r) = rate {
         scenario.kv.rate_rps = r;
     }
@@ -127,26 +89,29 @@ pub(crate) fn run_serve_cmd(args: &[String]) {
         scenario.seed = s;
     }
     scenario.kv.validate();
-
-    let report = run_serve(ServeConfig {
+    let cfg = ServeConfig {
         scenario,
         workers,
         shards,
-    });
+    };
+    Ok(ServeCmd {
+        cfg,
+        out,
+        baseline,
+        gate_pct,
+    })
+}
+
+/// Runs `cvm serve`.
+pub fn run(c: ServeCmd) -> Result<(), CliError> {
+    let report = run_serve(c.cfg);
     print!("{}", report.render_summary());
-    if json || out_path.is_some() {
-        let path = out_path.unwrap_or_else(|| FILE_NAME.to_owned());
-        std::fs::write(&path, report.to_json().to_pretty()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("[serve] wrote {path}");
+    let doc = report.to_json();
+    if let Some(path) = &c.out {
+        write_artifact("serve", path, &doc)?;
     }
-    if let Some(base_path) = &baseline {
-        let outcome = crate::gate::compare(&load_json(base_path), &report.to_json(), gate_pct);
-        print!("{}", outcome.render(gate_pct));
-        if outcome.failed() {
-            std::process::exit(1);
-        }
+    match &c.baseline {
+        Some(baseline) => gate_against(baseline, &doc, c.gate_pct),
+        None => Ok(()),
     }
 }

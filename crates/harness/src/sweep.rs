@@ -19,7 +19,6 @@
 //! wall-clock is printed to stderr only, never serialized.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use cvm_apps::{AppId, Scale};
 use cvm_dsm::ProtocolKind;
@@ -37,7 +36,7 @@ pub const NODES: [usize; 3] = [4, 8, 16];
 pub const FILE_NAME: &str = "BENCH_sweep.json";
 
 /// What to sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
     /// Problem scale.
     pub scale: Scale,
@@ -106,15 +105,6 @@ impl SweepConfig {
         }
         specs
     }
-
-    /// The effective worker count.
-    pub fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        }
-    }
 }
 
 /// A stable per-configuration salt: which worker runs a configuration can
@@ -140,72 +130,46 @@ pub struct SweepReport {
     pub config: SweepConfig,
     /// One outcome per configuration, in [`SweepConfig::specs`] order.
     pub outcomes: Vec<RunOutcome>,
-    /// Host wall-clock of the whole sweep, milliseconds (diagnostic only —
-    /// deliberately *not* serialized, so reports stay byte-identical
-    /// across machines and worker counts).
-    pub host_wall_ms: f64,
 }
 
 /// Runs the sweep: every configuration on the worker pool, results in
 /// configuration order.
 pub fn run_sweep(config: SweepConfig) -> SweepReport {
-    let specs = config.specs();
-    let workers = config.effective_workers();
-    eprintln!(
-        "[sweep] {} configurations on {} worker(s)",
-        specs.len(),
-        workers
-    );
-    let started = Instant::now();
-    let outcomes = workq::run_indexed(workers, specs, |_, spec| {
-        let t0 = Instant::now();
-        let outcome = run_app(spec);
-        eprintln!(
-            "[sweep] {} P={} T={} done in {:.2}s host",
-            outcome.spec.app,
-            outcome.spec.nodes,
-            outcome.spec.threads,
-            t0.elapsed().as_secs_f64()
-        );
-        outcome
-    });
-    let host_wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    eprintln!(
-        "[sweep] complete: {} runs in {:.2}s host wall-clock",
-        outcomes.len(),
-        host_wall_ms / 1e3
-    );
-    SweepReport {
-        config,
-        outcomes,
-        host_wall_ms,
-    }
+    let label = |o: &RunOutcome| {
+        let s = &o.spec;
+        format!("{} P={} T={} done", s.app, s.nodes, s.threads)
+    };
+    let outcomes =
+        crate::campaign::run("sweep", config.workers, config.specs(), label, |_, spec| {
+            run_app(spec)
+        });
+    SweepReport { config, outcomes }
 }
 
 impl SweepReport {
-    /// The single-thread outcome matching `(protocol, app, nodes)`, the
-    /// speedup baseline — `None` when the sweep did not include one
-    /// thread. Baselines never cross protocols: each protocol's speedup
-    /// is measured against its own one-thread run.
-    fn one_thread_base(
+    /// The outcome at one grid point, if the sweep ran it.
+    fn cell(
         &self,
         protocol: ProtocolKind,
         app: AppId,
         nodes: usize,
+        threads: usize,
     ) -> Option<&RunOutcome> {
         self.outcomes.iter().find(|o| {
             o.spec.protocol == protocol
                 && o.spec.app == app
                 && o.spec.nodes == nodes
-                && o.spec.threads == 1
+                && o.spec.threads == threads
         })
     }
 
     /// Speedup of `outcome` over the one-thread run of the same
-    /// protocol, application and node count.
+    /// protocol, application and node count — `None` when the sweep did
+    /// not include one thread. Baselines never cross protocols: each
+    /// protocol's speedup is measured against its own one-thread run.
     pub fn speedup_vs_one_thread(&self, outcome: &RunOutcome) -> Option<f64> {
-        let base =
-            self.one_thread_base(outcome.spec.protocol, outcome.spec.app, outcome.spec.nodes)?;
+        let s = &outcome.spec;
+        let base = self.cell(s.protocol, s.app, s.nodes, 1)?;
         Some(base.time_ms() / outcome.time_ms())
     }
 
@@ -234,29 +198,15 @@ impl SweepReport {
         obj.set("version", 1u64);
         obj.set("scale", self.config.scale.slug());
         obj.set("seed", self.config.seed);
-        let mut nodes = JsonValue::array();
-        for &n in &self.config.nodes {
-            nodes.push(n);
-        }
-        obj.set("nodes", nodes);
-        let mut threads = JsonValue::array();
-        for &t in &self.config.threads {
-            threads.push(t);
-        }
-        obj.set("threads", threads);
+        obj.set("nodes", self.config.nodes.clone());
+        obj.set("threads", self.config.threads.clone());
         // Only sweeps that use the protocol axis mention it, so the
         // default report stays byte-identical to pre-axis sweeps.
         if self.multi_protocol() {
-            let mut protocols = JsonValue::array();
-            for &p in &self.config.protocols {
-                protocols.push(p.slug());
-            }
-            obj.set("protocols", protocols);
+            let slugs: Vec<&str> = self.config.protocols.iter().map(|p| p.slug()).collect();
+            obj.set("protocols", slugs);
         }
-        let mut configs = JsonValue::array();
-        for o in &self.outcomes {
-            configs.push(self.outcome_json(o));
-        }
+        let configs: Vec<JsonValue> = self.outcomes.iter().map(|o| self.outcome_json(o)).collect();
         obj.set("configs", configs);
         obj
     }
@@ -315,14 +265,11 @@ impl SweepReport {
         if let Some(spans) = &r.spans {
             row.set("spans", spans.summary_json(r.total_time));
         }
-        match self.speedup_vs_one_thread(o) {
-            Some(s) => {
-                row.set("speedup_vs_1t", s);
-            }
-            None => {
-                row.set("speedup_vs_1t", JsonValue::Null);
-            }
-        }
+        let speedup = self.speedup_vs_one_thread(o);
+        row.set(
+            "speedup_vs_1t",
+            speedup.map_or(JsonValue::Null, JsonValue::from),
+        );
         row
     }
 
@@ -337,7 +284,7 @@ impl SweepReport {
         );
         for o in &self.outcomes {
             let norm = self
-                .one_thread_base(o.spec.protocol, o.spec.app, o.spec.nodes)
+                .cell(o.spec.protocol, o.spec.app, o.spec.nodes, 1)
                 .map_or(1.0, |b| o.time_ms() / b.time_ms());
             let r = &o.report;
             let _ = writeln!(
@@ -429,14 +376,7 @@ impl SweepReport {
                     let _ = write!(out, "| {label} | {nodes} |");
                     for &t in &self.config.threads {
                         let cell = self
-                            .outcomes
-                            .iter()
-                            .find(|o| {
-                                o.spec.protocol == protocol
-                                    && o.spec.app == app
-                                    && o.spec.nodes == nodes
-                                    && o.spec.threads == t
-                            })
+                            .cell(protocol, app, nodes, t)
                             .and_then(|o| self.speedup_vs_one_thread(o));
                         match cell {
                             Some(s) => {
@@ -478,13 +418,7 @@ impl SweepReport {
                     }
                     let _ = write!(out, "| {} | {} | {} |", app.name(), nodes, threads);
                     for &protocol in &self.config.protocols {
-                        let o = self.outcomes.iter().find(|o| {
-                            o.spec.protocol == protocol
-                                && o.spec.app == app
-                                && o.spec.nodes == nodes
-                                && o.spec.threads == threads
-                        });
-                        match o {
+                        match self.cell(protocol, app, nodes, threads) {
                             Some(o) => {
                                 let _ = write!(
                                     out,

@@ -1,188 +1,122 @@
 //! `cvm sweep` and `cvm faults` — the cross-product sweep and the
-//! fault-injection campaign drivers.
+//! fault-injection campaign commands.
 
-use crate::cli::{app_by_name, parse_list, parse_u64, plan_by_name, usage};
-use crate::Scale;
+use cvm_sim::json::JsonValue;
 
-pub(crate) fn run_sweep_cmd(args: &[String]) {
-    use crate::sweep::{run_sweep, SweepConfig, FILE_NAME};
-    let mut cfg = SweepConfig::default();
-    let mut json = false;
-    let mut out_path: Option<String> = None;
-    let mut md_path: Option<String> = None;
-    let mut apps: Vec<crate::AppId> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--spans" => cfg.spans = true,
-            "--out" => out_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--md" => md_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--workers" => {
-                cfg.workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--nodes" => {
-                cfg.nodes = it
-                    .next()
-                    .and_then(|v| parse_list(v))
-                    .unwrap_or_else(|| usage());
-            }
-            "--threads" => {
-                cfg.threads = it
-                    .next()
-                    .and_then(|v| parse_list(v))
-                    .unwrap_or_else(|| usage());
-            }
-            "--shards" => {
-                cfg.shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&s: &usize| s > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--app" => {
-                let name = it.next().map_or_else(|| usage(), String::as_str);
-                apps.push(app_by_name(name).unwrap_or_else(|| usage()));
-            }
-            "--protocol" => {
-                let list = it.next().map_or_else(|| usage(), String::as_str);
-                cfg.protocols = list
-                    .split(',')
-                    .map(|s| cvm_dsm::ProtocolKind::parse(s.trim()))
-                    .collect::<Option<Vec<_>>>()
-                    .unwrap_or_else(|| usage());
-                if cfg.protocols.is_empty() {
-                    usage();
-                }
-            }
-            "--seed" => {
-                cfg.seed = it
-                    .next()
-                    .and_then(|v| parse_u64(v))
-                    .unwrap_or_else(|| usage());
-            }
-            "--paper-scale" => cfg.scale = Scale::Paper,
-            _ => usage(),
+use crate::cli::{write_artifact, write_text, Args, CliError};
+use crate::faults::{self, FaultsConfig};
+use crate::sweep::{self, SweepConfig};
+use crate::{AppId, Scale};
+
+/// What a grid campaign (`cvm sweep`, `cvm faults`) was asked to do.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct GridCmd<C> {
+    /// The grid to run.
+    pub cfg: C,
+    /// Where the JSON report goes (`--json` = the campaign's
+    /// `BENCH_*.json`, `--out FILE`), if anywhere.
+    pub out: Option<String>,
+    /// `--md FILE`: the markdown tables, as well as on stdout.
+    pub md: Option<String>,
+}
+
+/// `cvm sweep`'s command.
+pub type SweepCmd = GridCmd<SweepConfig>;
+/// `cvm faults`' command.
+pub type FaultsCmd = GridCmd<FaultsConfig>;
+
+impl<C> GridCmd<C> {
+    /// Prints the tables and writes the copies that were asked for.
+    fn emit(&self, tag: &str, tables: &str, doc: &JsonValue) -> Result<(), CliError> {
+        print!("{tables}");
+        if let Some(path) = &self.md {
+            write_text(tag, path, tables)?;
         }
-    }
-    if !apps.is_empty() {
-        cfg.apps = apps;
-    }
-    let report = run_sweep(cfg);
-    print!("{}", report.render_tables());
-    if let Some(path) = &md_path {
-        std::fs::write(path, report.render_tables()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("[sweep] wrote {path}");
-    }
-    if json || out_path.is_some() {
-        let path = out_path.unwrap_or_else(|| FILE_NAME.to_owned());
-        std::fs::write(&path, report.to_json().to_pretty()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("[sweep] wrote {path}");
+        match &self.out {
+            Some(path) => write_artifact(tag, path, doc),
+            None => Ok(()),
+        }
     }
 }
 
-pub(crate) fn run_faults_cmd(args: &[String]) {
-    use crate::faults::{run_campaign, FaultsConfig, FILE_NAME};
-    let mut cfg = FaultsConfig::default();
-    let mut json = false;
-    let mut out_path: Option<String> = None;
-    let mut md_path: Option<String> = None;
-    let mut apps: Vec<crate::AppId> = Vec::new();
-    let mut plans: Vec<&'static str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--out" => out_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--md" => md_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--workers" => {
-                cfg.workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
+/// Parses `cvm sweep ARGS`.
+pub fn parse_sweep(argv: &[String]) -> Result<SweepCmd, CliError> {
+    let mut c = SweepCmd::default();
+    let mut apps: Vec<AppId> = Vec::new();
+    Args::new("sweep", argv).each(|a| {
+        match a.flag() {
+            "--json" => {
+                c.out.get_or_insert_with(|| sweep::FILE_NAME.to_owned());
             }
-            "--app" => {
-                let name = it.next().map_or_else(|| usage(), String::as_str);
-                apps.push(app_by_name(name).unwrap_or_else(|| usage()));
-            }
-            "--protocol" => {
-                let list = it.next().map_or_else(|| usage(), String::as_str);
-                cfg.protocols = list
-                    .split(',')
-                    .map(|s| cvm_dsm::ProtocolKind::parse(s.trim()))
-                    .collect::<Option<Vec<_>>>()
-                    .unwrap_or_else(|| usage());
-                if cfg.protocols.is_empty() {
-                    usage();
-                }
-            }
-            "--plan" => {
-                let name = it.next().map_or_else(|| usage(), String::as_str);
-                plans.push(plan_by_name(name).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown fault plan {name:?}; catalog: {}",
-                        cvm_net::PLAN_CATALOG.join(", ")
-                    );
-                    std::process::exit(2);
-                }));
-            }
-            "--nodes" => {
-                cfg.nodes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--threads" => {
-                cfg.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--seed" => {
-                cfg.seed = it
-                    .next()
-                    .and_then(|v| parse_u64(v))
-                    .unwrap_or_else(|| usage());
-            }
-            "--paper-scale" => cfg.scale = Scale::Paper,
-            _ => usage(),
+            "--out" => c.out = Some(a.value()?),
+            "--md" => c.md = Some(a.value()?),
+            "--spans" => c.cfg.spans = true,
+            "--workers" => c.cfg.workers = a.value()?,
+            "--nodes" => c.cfg.nodes = a.list()?,
+            "--threads" => c.cfg.threads = a.list()?,
+            "--shards" => c.cfg.shards = a.positive()?,
+            "--app" => apps.push(a.app()?),
+            "--protocol" => c.cfg.protocols = a.protocols()?,
+            "--seed" => c.cfg.seed = a.u64()?,
+            "--paper-scale" => c.cfg.scale = Scale::Paper,
+            _ => return Err(a.unknown()),
         }
-    }
+        Ok(())
+    })?;
     if !apps.is_empty() {
-        cfg.apps = apps;
+        c.cfg.apps = apps;
+    }
+    Ok(c)
+}
+
+/// Runs `cvm sweep`.
+pub fn run_sweep(c: SweepCmd) -> Result<(), CliError> {
+    let report = sweep::run_sweep(c.cfg.clone());
+    c.emit("sweep", &report.render_tables(), &report.to_json())
+}
+
+/// Parses `cvm faults ARGS`.
+pub fn parse_faults(argv: &[String]) -> Result<FaultsCmd, CliError> {
+    let mut c = FaultsCmd::default();
+    let mut apps: Vec<AppId> = Vec::new();
+    let mut plans: Vec<&'static str> = Vec::new();
+    Args::new("faults", argv).each(|a| {
+        match a.flag() {
+            "--json" => {
+                c.out.get_or_insert_with(|| faults::FILE_NAME.to_owned());
+            }
+            "--out" => c.out = Some(a.value()?),
+            "--md" => c.md = Some(a.value()?),
+            "--workers" => c.cfg.workers = a.value()?,
+            "--app" => apps.push(a.app()?),
+            "--protocol" => c.cfg.protocols = a.protocols()?,
+            "--plan" => plans.push(a.plan()?),
+            "--nodes" => c.cfg.nodes = a.positive()?,
+            "--threads" => c.cfg.threads = a.positive()?,
+            "--seed" => c.cfg.seed = a.u64()?,
+            "--paper-scale" => c.cfg.scale = Scale::Paper,
+            _ => return Err(a.unknown()),
+        }
+        Ok(())
+    })?;
+    if !apps.is_empty() {
+        c.cfg.apps = apps;
     }
     if !plans.is_empty() {
-        cfg.plans = plans;
+        c.cfg.plans = plans;
     }
-    cfg.apps.retain(|a| a.supports_threads(cfg.threads));
-    let report = run_campaign(cfg);
-    print!("{}", report.render_tables());
-    if let Some(path) = &md_path {
-        std::fs::write(path, report.render_tables()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("[faults] wrote {path}");
-    }
-    if json || out_path.is_some() {
-        let path = out_path.unwrap_or_else(|| FILE_NAME.to_owned());
-        std::fs::write(&path, report.to_json().to_pretty()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("[faults] wrote {path}");
-    }
+    c.cfg.apps.retain(|a| a.supports_threads(c.cfg.threads));
+    Ok(c)
+}
+
+/// Runs `cvm faults`.
+pub fn run_faults(c: FaultsCmd) -> Result<(), CliError> {
+    let report = faults::run_campaign(c.cfg.clone());
+    c.emit("faults", &report.render_tables(), &report.to_json())?;
     if !report.clean() {
-        eprintln!("[faults] FAIL: the campaign found violations");
-        std::process::exit(1);
+        return Err(CliError::Failed(
+            "[faults] FAIL: the campaign found violations".to_owned(),
+        ));
     }
+    Ok(())
 }

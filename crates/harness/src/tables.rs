@@ -45,7 +45,7 @@ impl Suite {
         self.runs.entry(key).or_insert_with(|| {
             let mut spec = RunSpec::new(app, scale, nodes, threads);
             spec.memsim = memsim;
-            eprintln!("[harness] running {app} P={nodes} T={threads} memsim={memsim}");
+            eprintln!("[cvm] running {app} P={nodes} T={threads} memsim={memsim}");
             run_app(spec)
         })
     }
@@ -55,7 +55,7 @@ impl Suite {
         let scale = self.scale;
         self.nsq.entry((opt, threads)).or_insert_with(|| {
             let spec = RunSpec::new(AppId::WaterNsq, scale, 8, threads);
-            eprintln!("[harness] running Water-Nsq {opt:?} P=8 T={threads}");
+            eprintln!("[cvm] running Water-Nsq {opt:?} P=8 T={threads}");
             run_water_nsq_variant(spec, opt)
         })
     }
@@ -324,7 +324,7 @@ pub fn ablation(scale: Scale) -> String {
         let mut spec = RunSpec::new(app, scale, 8, 4);
         spec.aggregate_barriers = agg;
         spec.prefer_local_locks = pref;
-        eprintln!("[harness] ablation {app} {name}");
+        eprintln!("[cvm] ablation {app} {name}");
         // Water-Nsq runs its unoptimized variant here: only transparently
         // multi-threaded code has the local lock contention that the
         // release policy exists to exploit.
@@ -360,7 +360,7 @@ pub fn ablation(scale: Scale) -> String {
             c
         });
         let body = cvm_apps::registry::build_ocean_variant(&mut b, scale, use_reduction);
-        eprintln!("[harness] reduction ablation Ocean {name}");
+        eprintln!("[cvm] reduction ablation Ocean {name}");
         let o = b.run(body);
         let _ = writeln!(
             out,
@@ -381,7 +381,7 @@ pub fn ablation(scale: Scale) -> String {
             let mut spec = RunSpec::new(app, scale, 8, 4);
             spec.memsim = true;
             spec.lifo = lifo;
-            eprintln!("[harness] scheduler ablation {app} {name}");
+            eprintln!("[cvm] scheduler ablation {app} {name}");
             let o = run_app(spec);
             let m = o.report.mem;
             let _ = writeln!(
@@ -416,7 +416,7 @@ pub fn protocols(scale: Scale) -> String {
         for proto in ProtocolKind::ALL {
             let mut spec = RunSpec::new(app, scale, 8, 2);
             spec.protocol = proto;
-            eprintln!("[harness] protocol {app} {proto}");
+            eprintln!("[cvm] protocol {app} {proto}");
             let o = run_app(spec);
             let _ = writeln!(
                 out,
@@ -498,7 +498,7 @@ pub fn perturb(scale: Scale, seeds: usize) -> String {
             let mut spec = RunSpec::new(app, scale, 8, 4);
             spec.seed = 0x5EED_0000 + s as u64;
             spec.jitter_us = 50;
-            eprintln!("[harness] perturb {app} seed {s}");
+            eprintln!("[cvm] perturb {app} seed {s}");
             let o = run_app(spec);
             times.push(o.time_ms());
             faults.push(o.report.stats.remote_faults);

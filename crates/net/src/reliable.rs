@@ -30,7 +30,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use cvm_sim::{SimDuration, SimRng};
+use cvm_sim::{JsonValue, SimDuration, SimRng};
 
 use crate::message::{MsgKind, NodeId};
 
@@ -253,6 +253,25 @@ impl LossStats {
     /// abandoned, with nothing lost in between.
     pub fn balanced(&self) -> bool {
         self.delivered + self.gave_up == self.sends
+    }
+
+    /// Every counter as one JSON object, in declaration order (the `loss`
+    /// section of run reports and fault-campaign cells).
+    pub fn to_json(&self) -> JsonValue {
+        let mut loss = JsonValue::object();
+        loss.set("sends", self.sends);
+        loss.set("delivered", self.delivered);
+        loss.set("gave_up", self.gave_up);
+        loss.set("dropped", self.dropped);
+        loss.set("ack_drops", self.ack_drops);
+        loss.set("corrupt_drops", self.corrupt_drops);
+        loss.set("partition_drops", self.partition_drops);
+        loss.set("duplicates_injected", self.duplicates_injected);
+        loss.set("reorders_injected", self.reorders_injected);
+        loss.set("retransmissions", self.retransmissions);
+        loss.set("duplicates_suppressed", self.duplicates_suppressed);
+        loss.set("acks_sent", self.acks_sent);
+        loss
     }
 }
 

@@ -357,7 +357,9 @@ impl<R> Drop for CoopScheduler<R> {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The message of a caught panic (`&str` and `String` payloads; anything
+/// else gets a placeholder).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -17,11 +17,9 @@
 //! * [`json`] — a dependency-free, byte-stable JSON model used by report
 //!   serialization and the Chrome-trace exporter.
 //! * [`sync`] — thin `parking_lot`-style wrappers over [`std::sync`].
-//! * [`explore`] — seeded perturbation of scheduler pick decisions for
-//!   the schedule-exploration checker.
-//! * [`script`] — scripted (replayable) scheduler decisions plus
-//!   per-step footprint records and state hashing for the stateless
-//!   model checker.
+//! * [`script`] — the scheduler's pick policy (FIFO/LIFO base order
+//!   plus a scripted or seeded override) and the per-step footprint
+//!   records and state hashing the stateless model checker consumes.
 //! * [`shard`] — per-shard event heaps merged in global `(time, seq)`
 //!   order, the substrate of the parallel event core: identical pop
 //!   order at any shard count.
@@ -45,7 +43,6 @@
 #![warn(missing_docs)]
 pub mod coop;
 pub mod event;
-pub mod explore;
 pub mod hist;
 pub mod json;
 pub mod rng;
@@ -58,10 +55,12 @@ pub mod workq;
 
 pub use coop::{Burst, CoopScheduler, CoopThreadId, Yielder};
 pub use event::EventQueue;
-pub use explore::{ExploreSchedule, ExploreSpec};
 pub use hist::Log2Hist;
 pub use json::JsonValue;
 pub use rng::{SimRng, Zipf};
-pub use script::{Fnv64, ScheduleScript, ScriptCursor, StepLog, StepRecord, SyncOp};
+pub use script::{
+    BaseOrder, ExploreSchedule, ExploreSpec, Fnv64, PickOverride, PickPolicy, ScheduleScript,
+    ScriptCursor, StepLog, StepRecord, SyncOp,
+};
 pub use shard::{ShardMap, ShardedEventQueue};
 pub use time::{SimDuration, VirtualTime};

@@ -1,5 +1,12 @@
-//! Scripted scheduler decisions and per-step observation records: the
-//! seam the stateless model checker (`cvm check --dpor`) drives.
+//! The scheduler's pick policy — the one way a node chooses its next
+//! ready thread — and the per-step observation records the stateless
+//! model checker (`cvm check --dpor`) consumes.
+//!
+//! A [`PickPolicy`] is a base order (FIFO, or the memory-conscious LIFO)
+//! plus at most one override that pins or perturbs a prefix of the run's
+//! picks: a [`ScheduleScript`] replayed verbatim (DPOR), or a seeded
+//! random stream bounded by a budget ([`ExploreSpec`], the schedule
+//! shaker). Once the override is exhausted the base order resumes.
 //!
 //! The only nondeterminism in a CVM run is *which ready thread a node
 //! resumes* at each scheduling point — message deliveries, lock grants
@@ -18,6 +25,7 @@
 //! from exactly these footprints.
 
 use crate::json::JsonValue;
+use crate::rng::SimRng;
 
 /// A fixed sequence of scheduler pick decisions replayed verbatim.
 ///
@@ -83,6 +91,163 @@ impl ScriptCursor {
         let c = *self.choices.get(self.pos)?;
         self.pos += 1;
         Some((c as usize).min(len.saturating_sub(1)))
+    }
+}
+
+/// A replayable description of one explored schedule: the random seed and
+/// how many scheduler decisions to perturb before reverting to the base
+/// order. Both the random stream and the budget are functions of
+/// `(seed, budget)` alone, so any failing schedule is replayable from
+/// those two integers — the checker prints them as the reproduction seed
+/// and minimizes by shrinking the budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExploreSpec {
+    /// Seed for the decision stream.
+    pub seed: u64,
+    /// Number of pick decisions to perturb; after these, the scheduler's
+    /// base order resumes.
+    pub budget: u64,
+}
+
+/// Live state while a perturbed run executes: the decision stream plus a
+/// count of decisions taken (reported back for minimization diagnostics).
+#[derive(Debug, Clone)]
+pub struct ExploreSchedule {
+    rng: SimRng,
+    remaining: u64,
+    decisions: u64,
+}
+
+impl ExploreSchedule {
+    /// Starts the decision stream for `spec`.
+    #[must_use]
+    pub fn new(spec: ExploreSpec) -> Self {
+        ExploreSchedule {
+            rng: SimRng::seed_from(spec.seed).derive(0x5C4E_D01E),
+            remaining: spec.budget,
+            decisions: 0,
+        }
+    }
+
+    /// Picks an index into a ready queue of length `len`, or `None` to
+    /// defer to the base order (budget exhausted, or the choice is
+    /// forced). Counts only real decisions against the budget.
+    pub fn pick(&mut self, len: usize) -> Option<usize> {
+        if len < 2 || self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        self.decisions += 1;
+        Some(self.rng.below(len as u64) as usize)
+    }
+
+    /// Perturbation decisions actually taken so far.
+    #[must_use]
+    pub fn decisions(&self) -> u64 {
+        self.decisions
+    }
+}
+
+/// The order a node resumes ready threads in when nothing overrides it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum BaseOrder {
+    /// Longest-ready first (the paper's scheduler).
+    #[default]
+    Fifo,
+    /// Most recently readied first. The paper notes a "memory-system
+    /// aware thread scheduler would use an approach closer to LIFO than
+    /// FIFO. Our scheduler does not make this optimization" — this adds
+    /// it, trading fairness for cache/TLB locality.
+    Lifo,
+}
+
+impl BaseOrder {
+    fn index(self, ready_len: usize) -> usize {
+        match self {
+            BaseOrder::Fifo => 0,
+            BaseOrder::Lifo => ready_len.saturating_sub(1),
+        }
+    }
+}
+
+/// What, if anything, overrides the base order for a prefix of the run.
+#[derive(Debug, Clone, Default)]
+pub enum PickOverride {
+    /// Nothing: every pick is the base order's.
+    #[default]
+    None,
+    /// Replay picks from a fixed script (the stateless model checker):
+    /// entry `i` indexes the ready queue at the `i`-th scheduling point.
+    Script(ScriptCursor),
+    /// Perturb a budget of picks with a seeded random stream (the
+    /// schedule-exploration checker).
+    Seeded(ExploreSchedule),
+}
+
+/// How a node chooses the next ready thread: the single pick path of the
+/// scheduler. The live override state advances as the run picks, so a
+/// policy is built fresh per run.
+#[derive(Debug, Clone, Default)]
+pub struct PickPolicy {
+    /// Order used when no override decides.
+    pub base: BaseOrder,
+    /// Override consulted first.
+    pub over: PickOverride,
+}
+
+impl PickPolicy {
+    /// FIFO with `script` pinning the first `script.len()` picks.
+    #[must_use]
+    pub fn scripted(script: ScheduleScript) -> Self {
+        PickPolicy {
+            base: BaseOrder::Fifo,
+            over: PickOverride::Script(ScriptCursor::new(script)),
+        }
+    }
+
+    /// FIFO with `spec.budget` picks perturbed by `spec.seed`'s stream.
+    #[must_use]
+    pub fn seeded(spec: ExploreSpec) -> Self {
+        PickPolicy {
+            base: BaseOrder::Fifo,
+            over: PickOverride::Seeded(ExploreSchedule::new(spec)),
+        }
+    }
+
+    /// The index into a ready queue of `ready_len > 0` threads to resume
+    /// next; advances the override.
+    #[inline]
+    pub fn pick(&mut self, ready_len: usize) -> usize {
+        let over = match &mut self.over {
+            PickOverride::None => None,
+            PickOverride::Script(cursor) => cursor.next(ready_len),
+            PickOverride::Seeded(explore) => explore.pick(ready_len),
+        };
+        over.unwrap_or_else(|| self.base.index(ready_len))
+    }
+
+    /// What [`pick`](Self::pick) will return, without consuming anything
+    /// — `Some` only when no override is configured, the one case where
+    /// the pick is a pure function of the queue length.
+    #[must_use]
+    pub fn peek(&self, ready_len: usize) -> Option<usize> {
+        self.is_default().then(|| self.base.index(ready_len))
+    }
+
+    /// Whether no override is configured (the parallel planner's
+    /// precondition for predicting picks).
+    #[must_use]
+    pub fn is_default(&self) -> bool {
+        matches!(self.over, PickOverride::None)
+    }
+
+    /// Seeded perturbation decisions taken so far (0 unless seeded).
+    #[must_use]
+    pub fn decisions(&self) -> u64 {
+        match &self.over {
+            PickOverride::Seeded(explore) => explore.decisions(),
+            _ => 0,
+        }
     }
 }
 
@@ -262,6 +427,113 @@ mod tests {
         assert_eq!(c.next(4), Some(3)); // 9 clamped
         assert_eq!(c.next(4), None); // exhausted: default policy resumes
         assert_eq!(c.next(1), None);
+    }
+
+    #[test]
+    fn base_order_picks_the_queue_ends() {
+        let mut fifo = PickPolicy::default();
+        let mut lifo = PickPolicy {
+            base: BaseOrder::Lifo,
+            ..PickPolicy::default()
+        };
+        for len in [1usize, 2, 5] {
+            assert_eq!(fifo.pick(len), 0);
+            assert_eq!(lifo.pick(len), len - 1);
+            assert_eq!(fifo.peek(len), Some(0));
+            assert_eq!(lifo.peek(len), Some(len - 1));
+        }
+        assert!(fifo.is_default() && lifo.is_default());
+        assert_eq!(
+            lifo.peek(0),
+            Some(0),
+            "empty queue: the caller's get() misses"
+        );
+    }
+
+    #[test]
+    fn script_falls_back_to_the_base_exactly_where_the_cursor_ends() {
+        let script = ScheduleScript::new(vec![0, 2, 9]);
+        let mut cursor = ScriptCursor::new(script.clone());
+        let mut policy = PickPolicy::scripted(script);
+        policy.base = BaseOrder::Lifo;
+        for len in [3usize, 2, 4, 4, 1] {
+            let want = cursor.next(len).unwrap_or(len - 1);
+            assert_eq!(policy.pick(len), want, "len {len}");
+        }
+        assert_eq!(policy.decisions(), 0);
+    }
+
+    #[test]
+    fn seeded_is_the_explore_stream_and_forced_picks_are_free() {
+        let spec = ExploreSpec { seed: 7, budget: 3 };
+        let mut stream = ExploreSchedule::new(spec);
+        let mut policy = PickPolicy::seeded(spec);
+        assert_eq!(policy.pick(1), 0, "singleton queue is forced");
+        assert_eq!(policy.decisions(), 0, "a forced pick spends no budget");
+        let _ = stream.pick(1);
+        for len in [4usize, 2, 1, 9, 6, 6] {
+            assert_eq!(policy.pick(len), stream.pick(len).unwrap_or(0));
+        }
+        assert_eq!(policy.decisions(), 3, "budget bounds the decisions");
+        assert_eq!(policy.decisions(), stream.decisions());
+    }
+
+    #[test]
+    fn peek_is_none_under_any_override() {
+        let scripted = PickPolicy::scripted(ScheduleScript::default());
+        let seeded = PickPolicy::seeded(ExploreSpec { seed: 1, budget: 0 });
+        for p in [scripted, seeded] {
+            assert!(!p.is_default());
+            assert_eq!(p.peek(3), None);
+        }
+    }
+
+    #[test]
+    fn same_spec_same_decisions() {
+        let spec = ExploreSpec {
+            seed: 42,
+            budget: 16,
+        };
+        let mut a = ExploreSchedule::new(spec);
+        let mut b = ExploreSchedule::new(spec);
+        for len in [2usize, 5, 3, 7, 2, 9, 4, 6] {
+            assert_eq!(a.pick(len), b.pick(len));
+        }
+        assert_eq!(a.decisions(), b.decisions());
+    }
+
+    #[test]
+    fn budget_bounds_decisions_and_forced_picks_are_free() {
+        let mut s = ExploreSchedule::new(ExploreSpec { seed: 7, budget: 3 });
+        assert_eq!(s.pick(1), None, "singleton queue is forced");
+        assert_eq!(s.decisions(), 0);
+        for _ in 0..3 {
+            let pick = s.pick(4).expect("within budget");
+            assert!(pick < 4);
+        }
+        assert_eq!(s.pick(4), None, "budget exhausted");
+        assert_eq!(s.decisions(), 3);
+    }
+
+    #[test]
+    fn zero_budget_never_perturbs() {
+        let mut s = ExploreSchedule::new(ExploreSpec { seed: 9, budget: 0 });
+        assert_eq!(s.pick(8), None);
+        assert_eq!(s.decisions(), 0);
+    }
+
+    #[test]
+    fn picks_stay_in_range() {
+        let mut s = ExploreSchedule::new(ExploreSpec {
+            seed: 0xDEAD,
+            budget: 1000,
+        });
+        for len in 2..50usize {
+            for _ in 0..4 {
+                let p = s.pick(len).unwrap();
+                assert!(p < len, "pick {p} out of range for len {len}");
+            }
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use cvm_apps::{build_app, AppId, Scale};
 use cvm_dsm::{
-    CvmBuilder, CvmConfig, FaultPlan, Finding, FindingSink, InjectFault, LatencyModel, ProtocolKind,
+    CvmBuilder, CvmConfig, FaultPlan, Finding, FindingSink, InjectFault, LatencyModel,
+    ProtocolKind, RunReport,
 };
-use cvm_sim::{ExploreSpec, ScheduleScript, StepRecord};
+use cvm_sim::{ExploreSpec, PickPolicy, ScheduleScript, StepRecord};
 
 use crate::race::replay_race_check;
 
@@ -58,14 +59,21 @@ pub struct RunPlan {
     pub trace_capacity: usize,
 }
 
-/// Runs `plan.app` once under `spec`, with the online oracle recording
-/// and the trace enabled, then replays the trace through the race
-/// detector. Panics inside the run are caught; findings recorded before
-/// the panic survive.
-pub fn run_schedule(plan: RunPlan, spec: Option<ExploreSpec>) -> ScheduleResult {
-    let sink = FindingSink::new();
+/// One checked run of `plan.app` under `pick`: the online oracle records
+/// into `sink`, the trace is enabled, and a panic inside the run is caught
+/// and returned as its message (findings recorded before it survive in
+/// `sink`). A completed run returns its report, the report's findings
+/// extended by the offline race replay (skipped as unsound when the trace
+/// overflowed) and the count of dropped trace events. `scripted` runs
+/// also record every scheduling point.
+fn run_plan(
+    plan: RunPlan,
+    pick: PickPolicy,
+    scripted: bool,
+    sink: &FindingSink,
+) -> Result<(RunReport, Vec<Finding>, u64), String> {
     let run_sink = sink.clone();
-    let outcome = catch_unwind(AssertUnwindSafe(move || {
+    let report = catch_unwind(AssertUnwindSafe(move || {
         let mut cfg = CvmConfig::small(plan.nodes, plan.threads);
         cfg.protocol = plan.protocol;
         cfg.verify = true;
@@ -74,42 +82,48 @@ pub fn run_schedule(plan: RunPlan, spec: Option<ExploreSpec>) -> ScheduleResult 
         if let Some(name) = plan.faults {
             cfg.faults = Some(FaultPlan::named(name, plan.nodes).expect("fault plan in catalog"));
         }
-        cfg.explore = spec;
         cfg.trace_capacity = plan.trace_capacity;
+        cfg.pick = pick;
+        cfg.record_steps = scripted;
+        if scripted && plan.scale == Scale::Tiny {
+            cfg.latency = LatencyModel::check();
+        }
         let mut builder = CvmBuilder::new(cfg);
         let body = build_app(&mut builder, plan.app, plan.scale);
         builder.run(body)
-    }));
-    match outcome {
-        Ok(report) => {
-            let mut findings = report.findings.clone();
-            let trace = report.trace.as_ref().expect("tracing was enabled");
-            let dropped = trace.overflow();
-            if dropped == 0 {
-                findings.extend(replay_race_check(trace, plan.nodes));
-            }
-            ScheduleResult {
-                spec,
-                findings,
-                decisions: report.explore_decisions,
-                panic: None,
-                trace_dropped: dropped,
-            }
-        }
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            ScheduleResult {
-                spec,
-                findings: sink.snapshot(),
-                decisions: 0,
-                panic: Some(msg),
-                trace_dropped: 0,
-            }
-        }
+    }))
+    .map_err(|payload| cvm_sim::coop::panic_message(payload.as_ref()))?;
+    let mut findings = report.findings.clone();
+    let trace = report.trace.as_ref().expect("tracing was enabled");
+    let dropped = trace.overflow();
+    if dropped == 0 {
+        findings.extend(replay_race_check(trace, plan.nodes));
+    }
+    Ok((report, findings, dropped))
+}
+
+/// Runs `plan.app` once under `spec`, with the online oracle recording
+/// and the trace enabled, then replays the trace through the race
+/// detector. Panics inside the run are caught; findings recorded before
+/// the panic survive.
+pub fn run_schedule(plan: RunPlan, spec: Option<ExploreSpec>) -> ScheduleResult {
+    let sink = FindingSink::new();
+    let pick = spec.map_or_else(PickPolicy::default, PickPolicy::seeded);
+    match run_plan(plan, pick, false, &sink) {
+        Ok((report, findings, trace_dropped)) => ScheduleResult {
+            spec,
+            findings,
+            decisions: report.explore_decisions,
+            panic: None,
+            trace_dropped,
+        },
+        Err(msg) => ScheduleResult {
+            spec,
+            findings: sink.snapshot(),
+            decisions: 0,
+            panic: Some(msg),
+            trace_dropped: 0,
+        },
     }
 }
 
@@ -154,35 +168,9 @@ impl ScriptedResult {
 /// the protocol's parked-request paths from the checker.
 pub fn run_scripted(plan: RunPlan, choices: &[u32]) -> ScriptedResult {
     let sink = FindingSink::new();
-    let run_sink = sink.clone();
-    let script = ScheduleScript::new(choices.to_vec());
-    let outcome = catch_unwind(AssertUnwindSafe(move || {
-        let mut cfg = CvmConfig::small(plan.nodes, plan.threads);
-        cfg.protocol = plan.protocol;
-        cfg.verify = true;
-        cfg.verify_sink = run_sink;
-        cfg.inject = plan.inject;
-        if let Some(name) = plan.faults {
-            cfg.faults = Some(FaultPlan::named(name, plan.nodes).expect("fault plan in catalog"));
-        }
-        cfg.trace_capacity = plan.trace_capacity;
-        cfg.script = Some(script);
-        cfg.record_steps = true;
-        if plan.scale == Scale::Tiny {
-            cfg.latency = LatencyModel::check();
-        }
-        let mut builder = CvmBuilder::new(cfg);
-        let body = build_app(&mut builder, plan.app, plan.scale);
-        builder.run(body)
-    }));
-    match outcome {
-        Ok(report) => {
-            let mut findings = report.findings.clone();
-            let trace = report.trace.as_ref().expect("tracing was enabled");
-            let trace_dropped = trace.overflow();
-            if trace_dropped == 0 {
-                findings.extend(replay_race_check(trace, plan.nodes));
-            }
+    let pick = PickPolicy::scripted(ScheduleScript::new(choices.to_vec()));
+    match run_plan(plan, pick, true, &sink) {
+        Ok((report, findings, trace_dropped)) => {
             let log = report.steps.as_ref().expect("step recording was enabled");
             ScriptedResult {
                 findings,
@@ -193,21 +181,14 @@ pub fn run_scripted(plan: RunPlan, choices: &[u32]) -> ScriptedResult {
                 steps_dropped: log.dropped(),
             }
         }
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            ScriptedResult {
-                findings: sink.snapshot(),
-                panic: Some(msg),
-                steps: Vec::new(),
-                state_hash: 0,
-                trace_dropped: 0,
-                steps_dropped: 0,
-            }
-        }
+        Err(msg) => ScriptedResult {
+            findings: sink.snapshot(),
+            panic: Some(msg),
+            steps: Vec::new(),
+            state_hash: 0,
+            trace_dropped: 0,
+            steps_dropped: 0,
+        },
     }
 }
 
