@@ -8,12 +8,12 @@
 //! the subtlest input to the planner's delivery floors).
 
 use cvm_apps::{build_app, AppId, Scale};
-use cvm_dsm::{CvmBuilder, CvmConfig, FaultPlan};
+use cvm_dsm::{CvmBuilder, CvmConfig, FaultPlan, RunReport};
 
 const NODES: usize = 4;
 const THREADS: usize = 2;
 
-fn report_json(app: AppId, shards: usize, faults: Option<&str>) -> String {
+fn run(app: AppId, shards: usize, faults: Option<&str>) -> RunReport {
     // The paper's latency model: its 368.5 µs lookahead floor opens wide
     // planning windows, so multi-shard runs genuinely pre-execute bursts
     // rather than degenerating to the sequential path.
@@ -24,7 +24,11 @@ fn report_json(app: AppId, shards: usize, faults: Option<&str>) -> String {
     }
     let mut b = CvmBuilder::new(cfg);
     let body = build_app(&mut b, app, Scale::Tiny);
-    b.run(body).to_json(10).to_string()
+    b.run(body)
+}
+
+fn report_json(app: AppId, shards: usize, faults: Option<&str>) -> String {
+    run(app, shards, faults).to_json(10).to_string()
 }
 
 #[test]
@@ -32,8 +36,16 @@ fn every_app_is_byte_identical_across_shard_counts() {
     for app in AppId::ALL {
         let sequential = report_json(app, 1, None);
         for shards in [2, 4] {
-            let sharded = report_json(app, shards, None);
-            assert_eq!(sharded, sequential, "{app} diverged at --shards {shards}");
+            let sharded = run(app, shards, None);
+            // Bursts really ran ahead of the driver, so in debug builds the
+            // driver's check that it never reaches for the cell of a node
+            // with a burst in flight (`DriverCore::cell`) was exercised.
+            assert!(sharded.planned_bursts > 0, "{app}: planner never engaged");
+            assert_eq!(
+                sharded.to_json(10).to_string(),
+                sequential,
+                "{app} diverged at --shards {shards}"
+            );
         }
     }
 }

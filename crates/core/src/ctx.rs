@@ -6,11 +6,16 @@
 //! synchronization calls (`acquire`, `release`, `barrier`, `local_barrier`)
 //! yield to the driver, which runs the protocol and the non-preemptive
 //! scheduler.
-
-use std::sync::Arc;
+//!
+//! A running thread *holds its node's cell*: the context locks the
+//! [`NodeCell`] when the thread is resumed and keeps the guard until the
+//! next blocking call, so a resident access is a shift, a state-table load
+//! and a copy — no atomic operation. The paper's `ReadWrite` page is one
+//! on which "all accesses proceed at full speed"; the protocol pays only
+//! at faults. See [`node`](crate::node) for who holds the cell when.
 
 use cvm_sim::coop::Yielder;
-use cvm_sim::sync::Mutex;
+use cvm_sim::sync::{Mutex, MutexGuard};
 use cvm_sim::{SimDuration, SimRng};
 
 use crate::node::NodeCell;
@@ -95,22 +100,39 @@ pub struct CtxCosts {
 #[derive(Debug)]
 pub struct ThreadCtx<'a> {
     yielder: &'a Yielder<BlockReason>,
-    cell: Arc<Mutex<NodeCell>>,
-    costs: CtxCosts,
+    cell: &'a Mutex<NodeCell>,
+    /// The node's cell, held for the whole burst: `Some` from the moment
+    /// the thread is resumed until it hands the baton back.
+    held: Option<MutexGuard<'a, NodeCell>>,
+    /// `log2(page_size)`; `CvmConfig::validate` asserts the power of two.
+    page_shift: u32,
+    meter: Meter,
     global_id: usize,
     node: usize,
     local_id: usize,
     nodes: usize,
     threads_per_node: usize,
     started: bool,
-    burst_ns: u64,
     rng: SimRng,
+}
+
+/// The thread's virtual-time meter. Its own struct so that the access
+/// path can charge it while it borrows the held cell.
+#[derive(Debug)]
+struct Meter {
+    costs: CtxCosts,
+    /// Virtual nanoseconds of the current burst, moved into the cell when
+    /// the burst ends.
+    burst_ns: u64,
     // Synthetic private-data and instruction streams for the memory-system
     // simulator.
     priv_counter: u64,
     pc: u64,
     access_counter: u64,
 }
+
+/// The one way `held` can be empty is a bug in this module.
+const HELD: &str = "a running thread holds its node's cell";
 
 /// Base virtual address of per-thread private regions (memsim only).
 const PRIVATE_BASE: u64 = 0x1000_0000_0000;
@@ -124,7 +146,7 @@ impl<'a> ThreadCtx<'a> {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         yielder: &'a Yielder<BlockReason>,
-        cell: Arc<Mutex<NodeCell>>,
+        cell: &'a Mutex<NodeCell>,
         costs: CtxCosts,
         global_id: usize,
         node: usize,
@@ -136,19 +158,25 @@ impl<'a> ThreadCtx<'a> {
         ThreadCtx {
             yielder,
             cell,
-            costs,
+            // The engine runs a thread's closure only once it is resumed:
+            // this is the start of its first burst.
+            held: Some(cell.lock()),
+            page_shift: costs.page_size.trailing_zeros(),
+            meter: Meter {
+                costs,
+                burst_ns: 0,
+                priv_counter: 0,
+                // Distinct starting offsets within the thread's code window.
+                pc: (global_id as u64 * 7919 * 64) % (costs.code_pages.max(1) as u64 * 4096),
+                access_counter: 0,
+            },
             global_id,
             node,
             local_id,
             nodes,
             threads_per_node,
             started: false,
-            burst_ns: 0,
             rng,
-            priv_counter: 0,
-            // Distinct starting offsets within the thread's code window.
-            pc: (global_id as u64 * 7919 * 64) % (costs.code_pages.max(1) as u64 * 4096),
-            access_counter: 0,
         }
     }
 
@@ -197,27 +225,27 @@ impl<'a> ThreadCtx<'a> {
 
     /// Charges `d` of pure computation to this thread's virtual time.
     pub fn work(&mut self, d: SimDuration) {
-        self.burst_ns += d.as_ns();
+        self.meter.burst_ns += d.as_ns();
     }
 
     /// Reads a shared value (application-facing sugar lives on
     /// [`SharedVec`](crate::SharedVec)).
     pub fn read_val<T: Shareable>(&mut self, addr: Addr) -> T {
-        let cell_arc = Arc::clone(&self.cell);
+        let page = (addr.0 >> self.page_shift) as usize;
         loop {
-            let mut cell = cell_arc.lock();
-            let page = addr.page(cell.page_size);
-            if cell.state[page.0].readable() {
-                self.charge_access(&mut cell, addr);
+            let cell = self.held.as_deref_mut().expect(HELD);
+            if cell.state[page].readable() {
+                self.meter.charge_access(self.global_id, cell, addr);
                 if cell.track_steps {
-                    cell.note_step_read(page.0);
+                    cell.note_step_read(page);
                 }
                 let off = addr.0 as usize;
-                let v = T::from_bytes(&cell.mem[off..off + T::SIZE]);
-                return v;
+                return T::from_bytes(&cell.mem[off..off + T::SIZE]);
             }
-            drop(cell);
-            self.block(BlockReason::Fault { page, write: false });
+            self.block(BlockReason::Fault {
+                page: PageId(page),
+                write: false,
+            });
         }
     }
 
@@ -234,15 +262,14 @@ impl<'a> ThreadCtx<'a> {
             self.started || self.global_id == 0,
             "pre-startup writes must come from global thread 0"
         );
-        let cell_arc = Arc::clone(&self.cell);
+        let page = (addr.0 >> self.page_shift) as usize;
         loop {
-            let mut cell = cell_arc.lock();
-            let page = addr.page(cell.page_size);
-            match cell.state[page.0] {
+            let cell = self.held.as_deref_mut().expect(HELD);
+            match cell.state[page] {
                 PageState::ReadWrite => {
-                    self.charge_access(&mut cell, addr);
+                    self.meter.charge_access(self.global_id, cell, addr);
                     if cell.track_steps {
-                        cell.note_step_write(page.0);
+                        cell.note_step_write(page);
                     }
                     let off = addr.0 as usize;
                     cell.mem[off..off + T::SIZE].copy_from_slice(&v.to_bytes());
@@ -250,18 +277,19 @@ impl<'a> ThreadCtx<'a> {
                 }
                 PageState::ReadOnly => {
                     // Local write fault: signal + twin (if first) + upgrade.
-                    let fresh = cell.ensure_twin(page.0);
-                    cell.state[page.0] = PageState::ReadWrite;
-                    self.burst_ns += self.costs.signal_ns + self.costs.mprotect_ns;
+                    let fresh = cell.ensure_twin(page);
+                    cell.state[page] = PageState::ReadWrite;
+                    let costs = &self.meter.costs;
+                    self.meter.burst_ns += costs.signal_ns + costs.mprotect_ns;
                     if fresh {
-                        self.burst_ns += self.costs.twin_copy_ns;
+                        self.meter.burst_ns += costs.twin_copy_ns;
                     }
                     // Retry takes the ReadWrite arm.
                 }
-                PageState::Invalid | PageState::Unmapped => {
-                    drop(cell);
-                    self.block(BlockReason::Fault { page, write: true });
-                }
+                PageState::Invalid | PageState::Unmapped => self.block(BlockReason::Fault {
+                    page: PageId(page),
+                    write: true,
+                }),
             }
         }
     }
@@ -298,7 +326,7 @@ impl<'a> ThreadCtx<'a> {
         self.block(BlockReason::LocalBarrier {
             reduce: Some((op, value)),
         });
-        self.cell.lock().lb_result
+        self.held().lb_result
     }
 
     /// Marks the end of single-threaded initialization. All threads must
@@ -320,7 +348,7 @@ impl<'a> ThreadCtx<'a> {
         self.block(BlockReason::GlobalReduce {
             reduce: (op, value),
         });
-        self.cell.lock().gr_result
+        self.held().gr_result
     }
 
     /// Marks the end of the measured region. All threads must call it
@@ -347,7 +375,7 @@ impl<'a> ThreadCtx<'a> {
     /// mid-burst.
     pub fn now_ns(&mut self) -> u64 {
         self.block(BlockReason::Now);
-        self.cell.lock().now_ns
+        self.held().now_ns
     }
 
     /// Sleeps until the absolute virtual time `ns` (no-op if already
@@ -362,33 +390,38 @@ impl<'a> ThreadCtx<'a> {
     /// histogram (serving workloads; see
     /// [`DsmHistograms::request_ns`](crate::DsmHistograms)).
     pub fn record_request(&mut self, latency_ns: u64) {
-        self.cell.lock().req_hist.record(latency_ns);
+        self.held().req_hist.record(latency_ns);
     }
 
+    /// The held cell, for the calls off the access path.
+    fn held(&mut self) -> &mut NodeCell {
+        self.held.as_deref_mut().expect(HELD)
+    }
+
+    /// Ends the burst, hands the baton to the driver and starts the next
+    /// burst when the driver hands it back. A parked thread holds nothing.
     fn block(&mut self, reason: BlockReason) {
-        {
-            let mut cell = self.cell.lock();
-            cell.burst_ns += self.burst_ns;
-        }
-        self.burst_ns = 0;
+        self.flush_burst();
         self.yielder.block(reason);
+        self.held = Some(self.cell.lock());
     }
 
-    /// Flushes any residual burst time; called by the runtime when the
-    /// thread body returns.
+    /// Ends the burst: moves its time into the cell and lets the cell go.
+    /// Called by the runtime when the thread body returns.
     pub(crate) fn flush_burst(&mut self) {
-        let mut cell = self.cell.lock();
-        cell.burst_ns += self.burst_ns;
-        self.burst_ns = 0;
+        let mut cell = self.held.take().expect(HELD);
+        cell.burst_ns += std::mem::take(&mut self.meter.burst_ns);
     }
+}
 
-    fn charge_access(&mut self, cell: &mut NodeCell, addr: Addr) {
+impl Meter {
+    fn charge_access(&mut self, global_id: usize, cell: &mut NodeCell, addr: Addr) {
         self.burst_ns += self.costs.access_base_ns;
         self.access_counter += 1;
-        if cell.memsim.is_none() {
+        let Some(mem) = cell.memsim.as_mut() else {
             return;
-        }
-        let tid = self.global_id as u64;
+        };
+        let tid = global_id as u64;
         let window = self.costs.code_pages.max(1) as u64 * 4096;
         // Advance the synthetic instruction pointer within this thread's
         // current code window; different threads occupy different windows
@@ -402,7 +435,6 @@ impl<'a> ThreadCtx<'a> {
             self.priv_counter += 1;
         }
         let pc = window_base + self.pc;
-        let mem = cell.memsim.as_mut().expect("memsim enabled");
         let data = mem.data_access(addr.0);
         self.burst_ns += data.cost_ns;
         self.burst_ns += mem.inst_access(pc);

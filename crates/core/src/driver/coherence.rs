@@ -91,7 +91,7 @@ impl DriverCore {
         let now = self.ctl[n].sched.clock;
         // What do we need? A base copy if we never had one, plus diffs for
         // every pending write notice, grouped by writer.
-        let state = self.cells[n].lock().state[p];
+        let state = self.cell(n).state[p];
         let mut writers: Vec<(usize, u32)> = Vec::new(); // (writer, since)
         if let Some(pend) = self.ctl[n].pending.get(&p) {
             let mut ws: Vec<usize> = pend.iter().map(|&(w, _)| w).collect();
@@ -106,7 +106,7 @@ impl DriverCore {
         if !need_base && writers.is_empty() {
             // Nothing remote is required (e.g. pre-startup touch of a page
             // homed here): validate and continue.
-            let mut cell = self.cells[n].lock();
+            let mut cell = self.cell(n);
             if matches!(cell.state[p], PageState::Unmapped | PageState::Invalid) {
                 cell.state[p] = PageState::ReadOnly;
             }
@@ -178,7 +178,7 @@ impl DriverCore {
     ) -> Option<usize> {
         match payload {
             Payload::PageRequest { page } => {
-                let data = self.cells[n].lock().page_bytes(page.0).to_vec();
+                let data = self.cell(n).page_bytes(page.0).to_vec();
                 self.send_remote(n, src, Payload::PageReply { page, data }, t);
                 None
             }
@@ -276,28 +276,31 @@ impl DriverCore {
                 });
         }
         let eager = self.cfg.protocol == crate::protocol::ProtocolKind::EagerUpdate;
+        let base = fetch.base.take();
         {
-            let mut cell = self.cells[n].lock();
-            if let Some(base) = fetch.base.take() {
-                cell.page_bytes_mut(page).copy_from_slice(&base);
-                if eager {
-                    // The whole page was replaced by a copy of unknown
-                    // word provenance; stale per-word versions would
-                    // overstate what we hold.
-                    self.ctl[n].word_ver.remove(&page);
-                }
+            let mut cell = self.cell(n);
+            if let Some(base) = &base {
+                cell.page_bytes_mut(page).copy_from_slice(base);
             }
-            for (tag, gseq, w, d) in &fetch.diffs {
+            for (_, _, _, d) in &fetch.diffs {
                 d.apply(cell.page_bytes_mut(page));
                 words += d.words_applied();
-                let key = (page, *w);
-                let e = self.ctl[n].applied_dtag.entry(key).or_insert(0);
-                *e = (*e).max(*tag);
-                let e = self.ctl[n].applied_gseq.entry(page).or_insert(0);
-                *e = (*e).max(*gseq);
-                if eager {
-                    self.ctl[n].note_words(page, d, *gseq);
-                }
+            }
+        }
+        let ctl = &mut self.ctl[n];
+        if eager && base.is_some() {
+            // The whole page was replaced by a copy of unknown word
+            // provenance; stale per-word versions would overstate what
+            // we hold.
+            ctl.word_ver.remove(&page);
+        }
+        for (tag, gseq, w, d) in &fetch.diffs {
+            let e = ctl.applied_dtag.entry((page, *w)).or_insert(0);
+            *e = (*e).max(*tag);
+            let e = ctl.applied_gseq.entry(page).or_insert(0);
+            *e = (*e).max(*gseq);
+            if eager {
+                ctl.note_words(page, d, *gseq);
             }
         }
         self.stats.diffs_used += fetch.diffs.len() as u64;
@@ -312,7 +315,7 @@ impl DriverCore {
         // Retire satisfied notices.
         let remaining = self.retire_pending(n, page);
         {
-            let mut cell = self.cells[n].lock();
+            let mut cell = self.cell(n);
             cell.state[page] = if remaining {
                 PageState::Invalid
             } else {
@@ -398,7 +401,7 @@ impl DriverCore {
 
     /// Closes the node's current interval if it dirtied any pages.
     pub(super) fn close_interval(&mut self, proto: &mut dyn Coherence, n: usize) {
-        let pages = self.cells[n].lock().close_dirty();
+        let pages = self.cell(n).close_dirty();
         if pages.is_empty() {
             return;
         }
@@ -457,12 +460,12 @@ impl DriverCore {
     /// Extracts (lazily) the node's pending modifications of `page` into a
     /// cached diff. Returns the newly created entry, if any.
     pub(super) fn ensure_extracted(&mut self, n: usize, page: usize) -> Option<(u32, u64, Diff)> {
-        let has_twin = self.cells[n].lock().has_twin(page);
+        let has_twin = self.cell(n).has_twin(page);
         if !has_twin {
             return None;
         }
         let diff = {
-            let cell = self.cells[n].lock();
+            let cell = self.cell(n);
             let twin = cell.twin(page).expect("twin checked");
             Diff::create(PageId(page), twin, cell.page_bytes(page))
         };
@@ -473,7 +476,7 @@ impl DriverCore {
             // The diff must be exactly the delta between twin and page:
             // patching the twin with it reproduces the current contents.
             let ok = {
-                let cell = self.cells[n].lock();
+                let cell = self.cell(n);
                 let twin = cell.twin(page).expect("twin checked");
                 let mut patched = twin.to_vec();
                 diff.apply(&mut patched);
@@ -501,7 +504,7 @@ impl DriverCore {
         {
             // Refresh the twin (in place — the buffer is page sized and
             // already ours) so later diffs cover only newer writes.
-            self.cells[n].lock().refresh_twin(page);
+            self.cell(n).refresh_twin(page);
         }
         let wire = diff.wire_bytes() as u64;
         let ctl = &mut self.ctl[n];
@@ -584,7 +587,7 @@ impl DriverCore {
         // must get their own write notice, or remote copies would never
         // be invalidated for them.
         let must_close = {
-            let cell = self.cells[n].lock();
+            let cell = self.cell(n);
             notices
                 .iter()
                 .any(|wn| wn.writer != n && cell.dirty.contains(&wn.page.0))
@@ -628,7 +631,7 @@ impl DriverCore {
             if self.cur_span != 0 {
                 self.page_cause.insert(p, self.cur_span);
             }
-            let state = self.cells[n].lock().state[p];
+            let state = self.cell(n).state[p];
             if state.readable() {
                 let skip = self.inject_hits(|f| match f {
                     InjectFault::SkipInvalidate { nth } => Some(*nth),
@@ -638,7 +641,7 @@ impl DriverCore {
                     // If we were concurrently writing it, extract our diff
                     // before losing the twin.
                     let _ = self.ensure_extracted(n, p);
-                    let mut cell = self.cells[n].lock();
+                    let mut cell = self.cell(n);
                     cell.clear_twin(p);
                     cell.dirty.remove(&p);
                     cell.state[p] = PageState::Invalid;
@@ -658,7 +661,7 @@ impl DriverCore {
             if self.oracle.enabled() {
                 // The notice is now pending: a still-readable copy would
                 // serve stale data.
-                let readable = self.cells[n].lock().state[p].readable();
+                let readable = self.cell(n).state[p].readable();
                 let at = self.ctl[n].sched.clock;
                 self.oracle.check(
                     Invariant::PendingImpliesInvalid,

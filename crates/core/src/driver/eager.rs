@@ -100,7 +100,7 @@ impl EagerUpdate {
             // reply may or may not already include this diff).
             return Err(Refusal::Early);
         }
-        if !core.cells[n].lock().state[p].has_copy() {
+        if !core.cell(n).state[p].has_copy() {
             return Err(Refusal::Stale);
         }
         if gseq <= core.ctl[n].applied_gseq.get(&p).copied().unwrap_or(0) {
@@ -126,7 +126,7 @@ impl EagerUpdate {
             return Err(Refusal::Early);
         }
         {
-            let mut cell = core.cells[n].lock();
+            let mut cell = core.cell(n);
             d.apply(cell.page_bytes_mut(p));
             // Keep a concurrent twin in step so our own next diff covers
             // only our own writes; otherwise the pushed words would be
@@ -159,7 +159,7 @@ impl EagerUpdate {
         // any more.
         let remaining = core.retire_pending(n, p);
         if !remaining {
-            let mut cell = core.cells[n].lock();
+            let mut cell = core.cell(n);
             if cell.state[p] == PageState::Invalid {
                 cell.state[p] = PageState::ReadOnly;
             }

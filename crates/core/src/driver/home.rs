@@ -105,7 +105,7 @@ impl HomeLazy {
         span: u64,
         t: VirtualTime,
     ) {
-        let data = core.cells[home].lock().page_bytes(p).to_vec();
+        let data = core.cell(home).page_bytes(p).to_vec();
         let watermarks: Vec<(usize, u32)> = (0..core.cfg.nodes)
             .filter_map(|w| {
                 let v = core.ctl[home].applied_ivl(p, w);
@@ -192,7 +192,7 @@ impl Coherence for HomeLazy {
             needs = by_writer;
         }
         let home = self.home_of(core, p);
-        let state = core.cells[n].lock().state[p];
+        let state = core.cell(n).state[p];
         if n == home {
             let covered = needs
                 .iter()
@@ -201,7 +201,7 @@ impl Coherence for HomeLazy {
                 // The home's bytes already reflect everything we know of:
                 // validate and continue (e.g. a pre-startup touch).
                 core.retire_pending(n, p);
-                let mut cell = core.cells[n].lock();
+                let mut cell = core.cell(n);
                 if matches!(cell.state[p], PageState::Unmapped | PageState::Invalid) {
                     cell.state[p] = PageState::ReadOnly;
                 }
@@ -232,7 +232,7 @@ impl Coherence for HomeLazy {
         }
         if state != PageState::Unmapped && needs.is_empty() {
             // Nothing newer than our copy exists: validate and continue.
-            let mut cell = core.cells[n].lock();
+            let mut cell = core.cell(n);
             if cell.state[p] == PageState::Invalid {
                 cell.state[p] = PageState::ReadOnly;
             }
@@ -278,7 +278,7 @@ impl Coherence for HomeLazy {
                 let p = page.0;
                 if let Some((tag, _gseq, d)) = diff {
                     {
-                        let mut cell = core.cells[n].lock();
+                        let mut cell = core.cell(n);
                         d.apply(cell.page_bytes_mut(p));
                         // Keep a concurrent twin in step so the home's own
                         // next diff covers only its own writes.
@@ -309,7 +309,7 @@ impl Coherence for HomeLazy {
                     // usable without faulting.
                     let remaining = core.retire_pending(n, p);
                     if !remaining {
-                        let mut cell = core.cells[n].lock();
+                        let mut cell = core.cell(n);
                         if cell.state[p] == PageState::Invalid {
                             cell.state[p] = PageState::ReadOnly;
                         }

@@ -57,7 +57,7 @@ use std::sync::Arc;
 
 use cvm_net::NetworkSim;
 use cvm_sim::coop::{CoopScheduler, CoopThreadId, Yielder};
-use cvm_sim::sync::Mutex;
+use cvm_sim::sync::{Mutex, MutexGuard};
 use cvm_sim::{Fnv64, ShardMap, ShardedEventQueue, SimDuration, SimRng, StepLog, VirtualTime};
 
 use cvm_memsim::MemSystem;
@@ -478,9 +478,11 @@ impl Driver {
                 let cell = Arc::clone(&cells[node]);
                 let app = Arc::clone(&app);
                 let trng = rng.derive(gid as u64);
+                // The closure owns the `Arc`; the context borrows the cell
+                // from it and holds it locked while the thread runs.
                 let coop_id = coop.spawn(move |y: &Yielder<BlockReason>| {
                     let mut ctx =
-                        ThreadCtx::new(y, cell, costs, gid, node, local, nodes, tpn, trng);
+                        ThreadCtx::new(y, &cell, costs, gid, node, local, nodes, tpn, trng);
                     app(&mut ctx);
                     ctx.flush_burst();
                 });
@@ -670,13 +672,31 @@ impl Driver {
 }
 
 impl DriverCore {
+    /// Node `n`'s cell — the driver's only way to it. A running thread
+    /// holds its node's cell for the whole burst, so the driver may reach
+    /// for it only between that node's bursts. `resume` returns with the
+    /// burst over; what could break the rule is a burst the window planner
+    /// pre-started, which by the planner's own argument the driver never
+    /// needs to look at before collecting it. Debug builds check that.
+    pub(super) fn cell(&self, n: usize) -> MutexGuard<'_, NodeCell> {
+        let tpn = self.cfg.threads_per_node;
+        debug_assert!(
+            // Threads are numbered node by node.
+            !self.threads[n * tpn..(n + 1) * tpn]
+                .iter()
+                .any(|t| self.coop.is_running(t.coop)),
+            "driver reached for node {n}'s cell while a burst of one of its threads is in flight"
+        );
+        self.cells[n].lock()
+    }
+
     /// Re-samples node `n`'s live twin bytes into the cluster-wide sum
     /// and advances the whole-run peak. Called at the two sequential
     /// points where a cell's twins can just have changed — the end of
     /// `run_node` and the end of a message handler — so the peak is a
     /// property of the simulated execution, identical at any shard count.
     pub(super) fn sample_twin_live(&mut self, n: usize) {
-        let live = self.cells[n].lock().twin_bytes_live;
+        let live = self.cell(n).twin_bytes_live;
         let old = std::mem::replace(&mut self.twin_live_seen[n], live);
         self.twin_live_sum = self.twin_live_sum + live - old;
         self.twin_global_peak = self.twin_global_peak.max(self.twin_live_sum);
@@ -703,8 +723,8 @@ impl DriverCore {
     /// assertions and duplicate-terminal-state counting.
     fn state_fingerprint(&self) -> u64 {
         let mut h = Fnv64::new();
-        for (n, cell) in self.cells.iter().enumerate() {
-            let c = cell.lock();
+        for n in 0..self.cfg.nodes {
+            let c = self.cell(n);
             h.write_u64(n as u64);
             h.write(&c.mem);
             for s in &c.state {

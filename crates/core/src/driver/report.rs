@@ -27,13 +27,13 @@ impl DriverCore {
         for (n, ctl) in self.ctl.iter().enumerate() {
             let mut b = ctl.breakdown;
             b.clock = ctl.sched.clock;
-            stats.twins_created += self.cells[n].lock().twin_creations;
+            stats.twins_created += self.cell(n).twin_creations;
             nodes.push(b);
         }
         let mut mem = MemMisses::default();
         let mut node_twin_peak = Vec::with_capacity(self.cfg.nodes);
-        for cell in &self.cells {
-            let c = cell.lock();
+        for n in 0..self.cfg.nodes {
+            let c = self.cell(n);
             node_twin_peak.push(c.twin_bytes_peak);
             if let Some(m) = &c.memsim {
                 mem.dcache += m.dcache_misses();
@@ -72,8 +72,8 @@ impl DriverCore {
                 // Node order + commutative bucket addition keeps the merge
                 // independent of host-thread interleaving.
                 let mut hist = self.hist.clone();
-                for cell in &self.cells {
-                    hist.request_ns.merge(&cell.lock().req_hist);
+                for n in 0..self.cfg.nodes {
+                    hist.request_ns.merge(&self.cell(n).req_hist);
                 }
                 hist
             },

@@ -133,7 +133,7 @@ impl DriverCore {
             }
             None => self.coop.resume(self.threads[tid].coop),
         };
-        let consumed = SimDuration::from_ns(self.cells[n].lock().drain_burst());
+        let consumed = SimDuration::from_ns(self.cell(n).drain_burst());
         self.burst_total_ns += consumed.as_ns();
         if prestarted.is_some() {
             self.win_sum_ns += consumed.as_ns();
@@ -172,7 +172,7 @@ impl DriverCore {
         chosen: usize,
         burst: &Burst<BlockReason>,
     ) {
-        let (reads, writes) = self.cells[n].lock().drain_step_pages();
+        let (reads, writes) = self.cell(n).drain_step_pages();
         let sync = match burst {
             Burst::Finished => SyncOp::Finish,
             Burst::Blocked(reason) => match reason {
@@ -234,7 +234,7 @@ impl DriverCore {
                 // front of the queue, so no switch is charged and the read
                 // is a pure observation.
                 let now = self.ctl[n].sched.clock;
-                self.cells[n].lock().now_ns = now.as_ns();
+                self.cell(n).now_ns = now.as_ns();
                 self.ctl[n].sched.ready.push_front(tid);
             }
             BlockReason::SleepUntil { ns } => {

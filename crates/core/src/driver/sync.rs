@@ -270,7 +270,7 @@ impl DriverCore {
         }
         self.stats.local_barriers += 1;
         let (woken, val) = self.ctl[n].lb.complete();
-        self.cells[n].lock().lb_result = val.unwrap_or(0.0);
+        self.cell(n).lb_result = val.unwrap_or(0.0);
         for t in woken {
             self.ctl[n].sched.ready.push_back(t);
         }
@@ -374,7 +374,7 @@ impl DriverCore {
     pub(super) fn apply_reduce_release(&mut self, n: usize, value: f64, t: VirtualTime) {
         let span = std::mem::replace(&mut self.reduce_span[n], 0);
         self.spans.close(span, t);
-        self.cells[n].lock().gr_result = value;
+        self.cell(n).gr_result = value;
         let (woken, _) = self.ctl[n].gred.complete();
         for tid in woken {
             self.make_ready(n, tid, t);
@@ -408,14 +408,14 @@ impl DriverCore {
             || format!("{} messages in flight at startup", self.net.in_flight()),
         );
         let init_mem = {
-            let mut c0 = self.cells[0].lock();
+            let mut c0 = self.cell(0);
             c0.clear_twins();
             c0.dirty.clear();
             c0.twin_creations = 0;
             c0.mem.clone()
         };
-        for (n, cell) in self.cells.iter().enumerate() {
-            let mut c = cell.lock();
+        for n in 0..self.cfg.nodes {
+            let mut c = self.cell(n);
             if n != 0 {
                 c.mem.copy_from_slice(&init_mem);
                 c.twin_creations = 0;
@@ -433,7 +433,9 @@ impl DriverCore {
             // and any stale clock reads are discarded.
             c.req_hist = cvm_sim::Log2Hist::default();
             c.now_ns = 0;
-            self.twin_live_seen[n] = c.twin_bytes_live;
+            let live = c.twin_bytes_live;
+            drop(c);
+            self.twin_live_seen[n] = live;
         }
         self.twin_live_sum = self.twin_live_seen.iter().sum();
         self.twin_global_peak = self.twin_live_sum;

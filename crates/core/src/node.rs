@@ -4,8 +4,23 @@
 //! [`NodeCell`] holds everything the instrumented access path needs on its
 //! fast path: the node's copy of the shared segment, the per-page
 //! protection states, twins, the dirty set and the (optional) memory-system
-//! simulator. It is wrapped in a mutex, but the baton discipline of
-//! [`cvm_sim::coop`] means the lock is never contended.
+//! simulator. It is wrapped in a mutex that is never contended, because
+//! the cell always has exactly one owner:
+//!
+//! * **A running application thread holds it for its whole burst.**
+//!   [`ThreadCtx`](crate::ThreadCtx) locks the cell when the thread is
+//!   resumed and lets go only when it hands the baton back (a blocking
+//!   call, or the thread body returning), so a resident access costs no
+//!   atomic operation. A parked thread holds nothing.
+//! * **The driver takes it between bursts** — in a handler, after
+//!   `resume`/`wait` returned, at report time — through
+//!   `DriverCore::cell`, one short critical section at a time.
+//! * **Never both.** The baton of [`cvm_sim::coop`] orders the two. The
+//!   one way to overlap them is a burst the window planner pre-started
+//!   (`driver/parallel.rs`), and the planner's rule is that the driver
+//!   touches only *other* nodes' state until it collects that burst;
+//!   `DriverCore::cell` asserts it in debug builds. A driver that broke
+//!   the rule would not race, it would wait for the burst to end.
 
 use std::collections::BTreeSet;
 
@@ -71,6 +86,10 @@ pub struct NodeCell {
     step_reads: Vec<u32>,
     /// Pages written during the current burst (deduplicated).
     step_writes: Vec<u32>,
+    /// The page most recently noted in `step_reads` / `step_writes` this
+    /// burst: a run of accesses to one page skips the scan.
+    last_step_read: Option<usize>,
+    last_step_write: Option<usize>,
 }
 
 impl NodeCell {
@@ -95,6 +114,8 @@ impl NodeCell {
             track_steps: false,
             step_reads: Vec::new(),
             step_writes: Vec::new(),
+            last_step_read: None,
+            last_step_write: None,
         }
     }
 
@@ -257,26 +278,37 @@ impl NodeCell {
     /// Records a shared read of `page` into the current burst footprint
     /// (only meaningful while `track_steps` is set).
     pub fn note_step_read(&mut self, page: usize) {
-        let p = u32::try_from(page).expect("page index fits u32");
-        if !self.step_reads.contains(&p) {
-            self.step_reads.push(p);
+        if self.last_step_read != Some(page) {
+            self.last_step_read = Some(page);
+            note_page(&mut self.step_reads, page);
         }
     }
 
     /// Records a shared write of `page` into the current burst footprint.
     pub fn note_step_write(&mut self, page: usize) {
-        let p = u32::try_from(page).expect("page index fits u32");
-        if !self.step_writes.contains(&p) {
-            self.step_writes.push(p);
+        if self.last_step_write != Some(page) {
+            self.last_step_write = Some(page);
+            note_page(&mut self.step_writes, page);
         }
     }
 
     /// Takes the burst's `(reads, writes)` page footprint.
     pub fn drain_step_pages(&mut self) -> (Vec<u32>, Vec<u32>) {
+        self.last_step_read = None;
+        self.last_step_write = None;
         (
             std::mem::take(&mut self.step_reads),
             std::mem::take(&mut self.step_writes),
         )
+    }
+}
+
+/// Appends `page` to a burst footprint unless already there (first-touch
+/// order, which the step log records).
+fn note_page(pages: &mut Vec<u32>, page: usize) {
+    let p = u32::try_from(page).expect("page index fits u32");
+    if !pages.contains(&p) {
+        pages.push(p);
     }
 }
 
@@ -362,6 +394,21 @@ mod tests {
         c.refresh_twin(0);
         assert_eq!(c.twin(0).expect("twin exists")[5], 42);
         assert_eq!(c.twin_bytes_live, 64);
+    }
+
+    #[test]
+    fn step_footprint_is_first_touch_order_without_repeats() {
+        let mut c = NodeCell::new(64, 4, None);
+        for p in [2, 2, 0, 2, 2, 3, 0] {
+            c.note_step_read(p);
+        }
+        c.note_step_write(1);
+        c.note_step_write(1);
+        assert_eq!(c.drain_step_pages(), (vec![2, 0, 3], vec![1]));
+        // The next burst starts clean: the page last noted is noted again.
+        c.note_step_read(0);
+        c.note_step_write(1);
+        assert_eq!(c.drain_step_pages(), (vec![0], vec![1]));
     }
 
     #[test]
