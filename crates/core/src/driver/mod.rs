@@ -176,6 +176,8 @@ enum MainEvent {
 /// Driver-private per-node control state.
 struct NodeCtl {
     sched: NodeSched,
+    /// Indexed by lock id; as long as `DriverCore::lock_mgrs`, which
+    /// `grow_locks` extends on the first acquire of an id.
     locks: Vec<LockLocal>,
     nb: NodeBarrier,
     lb: LocalBarrier,
@@ -224,10 +226,10 @@ struct NodeCtl {
 }
 
 impl NodeCtl {
-    fn new(nodes: usize, n_locks: usize, threads_per_node: usize) -> Self {
+    fn new(nodes: usize, threads_per_node: usize) -> Self {
         NodeCtl {
             sched: NodeSched::new(threads_per_node),
-            locks: (0..n_locks).map(|_| LockLocal::default()).collect(),
+            locks: Vec::new(),
             nb: NodeBarrier::default(),
             lb: LocalBarrier::default(),
             gred: LocalBarrier::default(),
@@ -282,7 +284,8 @@ impl NodeCtl {
     }
 }
 
-/// How many global locks exist (a static table, as in CVM).
+/// Upper bound on lock ids (CVM's table size). The tables themselves
+/// cover only the ids a program has acquired: see `DriverCore::grow_locks`.
 pub const MAX_LOCKS: usize = 4096;
 
 struct ThreadInfo {
@@ -450,15 +453,7 @@ impl Driver {
                 *s = PageState::ReadWrite;
             }
         }
-        let mut ctl: Vec<NodeCtl> = (0..nodes)
-            .map(|_| NodeCtl::new(nodes, MAX_LOCKS, tpn))
-            .collect();
-        let lock_mgrs: Vec<LockManager> = (0..MAX_LOCKS)
-            .map(|l| LockManager::new(l % nodes))
-            .collect();
-        for (l, mgr) in lock_mgrs.iter().enumerate() {
-            ctl[mgr.tail].locks[l].cached = true;
-        }
+        let ctl: Vec<NodeCtl> = (0..nodes).map(|_| NodeCtl::new(nodes, tpn)).collect();
         let costs = CtxCosts {
             page_size: cfg.page_size,
             access_base_ns: cfg.access_base.as_ns(),
@@ -564,7 +559,7 @@ impl Driver {
             twin_global_peak: 0,
             cache_live_sum: 0,
             cache_global_peak: 0,
-            lock_mgrs,
+            lock_mgrs: Vec::new(),
             master: BarrierMaster::new(nodes, barrier_expected),
             stats: DsmStats::new(),
             startup_arrived: 0,

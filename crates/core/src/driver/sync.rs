@@ -15,7 +15,7 @@ use cvm_memsim::MemSystem;
 
 use crate::barrier::ReduceOp;
 use crate::interval::{VectorTime, WriteNotice};
-use crate::lock::{AcquireOutcome, ForwardOutcome, ReleaseOutcome};
+use crate::lock::{AcquireOutcome, ForwardOutcome, LockLocal, LockManager, ReleaseOutcome};
 use crate::msg::Payload;
 use crate::oracle::{InjectFault, Invariant};
 use crate::page::PageState;
@@ -26,6 +26,23 @@ use crate::trace::TraceEvent;
 use super::{Coherence, DriverCore, MAX_LOCKS};
 
 impl DriverCore {
+    /// Extends the manager table and every node's lock table to cover
+    /// `lock`. Every lock message follows an acquire of its id, so this
+    /// is the only place the tables grow. A new lock's token starts
+    /// cached at its manager node, `l % nodes`.
+    fn grow_locks(&mut self, lock: usize) {
+        let nodes = self.cfg.nodes;
+        for l in self.lock_mgrs.len()..=lock {
+            self.lock_mgrs.push(LockManager::new(l % nodes));
+            for (q, ctl) in self.ctl.iter_mut().enumerate() {
+                ctl.locks.push(LockLocal {
+                    cached: l % nodes == q,
+                    ..LockLocal::default()
+                });
+            }
+        }
+    }
+
     pub(super) fn handle_acquire(
         &mut self,
         proto: &mut dyn Coherence,
@@ -36,6 +53,7 @@ impl DriverCore {
         Invariant::LockIndexInRange.require(lock < MAX_LOCKS, || {
             format!("lock index {lock} outside the static table of {MAX_LOCKS}")
         });
+        self.grow_locks(lock);
         match self.ctl[n].locks[lock].try_acquire(tid) {
             AcquireOutcome::LocalGrant => {
                 self.stats.local_lock_acquires += 1;
@@ -96,6 +114,10 @@ impl DriverCore {
         let now = self.ctl[n].sched.clock;
         let prefer_local = self.cfg.prefer_local_lock_waiters;
         let grant_cap = self.cfg.local_grant_cap;
+        assert!(
+            lock < self.lock_mgrs.len(),
+            "release of lock {lock}, which nobody has acquired"
+        );
         match self.ctl[n].locks[lock].release(tid, prefer_local, grant_cap) {
             ReleaseOutcome::LocalHandoff(next) => {
                 self.stats.local_lock_handoffs += 1;

@@ -34,7 +34,7 @@ pub const MAX_FINDINGS: usize = 4096;
 pub enum Invariant {
     /// A system needs at least one node and one thread per node.
     ConfigPositive,
-    /// Lock indices must fall inside the static lock table.
+    /// Lock indices must be below `MAX_LOCKS`.
     LockIndexInRange,
     /// `startup_done` must find the wire quiescent: statistics are zeroed
     /// and memory made uniform, which is only sound with nothing in flight.

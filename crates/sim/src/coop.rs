@@ -11,7 +11,18 @@
 //! A scheduled thread runs a *burst*: it executes application code until its
 //! next blocking DSM call, then reports a caller-defined reason (`R`) back
 //! to the driver and parks. Every hand-off is an explicit rendezvous through
-//! per-thread gates.
+//! the thread's own shared state: a `go` word the driver stores and the
+//! thread consumes, and a `done` mailbox the thread fills and the driver
+//! empties, each side sleeping in `thread::park` until its half is set.
+//!
+//! **Nothing is held across a wake.** A hand-off is a store followed by one
+//! `unpark`, issued after every guard is dropped. Waking a sleeper while
+//! holding a lock it needs next costs two extra context switches per
+//! hand-off whenever the kernel runs the woken thread at once (one CPU, or
+//! a pinned pair): it preempts the waker, blocks on the lock, and has to be
+//! switched out and woken a second time. With the wake last, the woken side
+//! finds everything it needs already released, and a burst that ends before
+//! the driver reaches [`wait`](CoopScheduler::wait) costs no wake at all.
 //!
 //! The driver has two ways to run a burst:
 //!
@@ -21,7 +32,7 @@
 //!   split form used by the parallel event core: the driver may start
 //!   several threads' bursts (on *different* nodes, per its own safety
 //!   analysis) and collect each burst's outcome later. Because each thread
-//!   reports into its own slot and gates, overlapping bursts never contend
+//!   reports into its own mailbox, overlapping bursts never contend
 //!   on engine state; determinism is then the *driver's* obligation — it
 //!   must only overlap bursts whose effects are disjoint.
 //!
@@ -44,11 +55,11 @@
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{self, JoinHandle, Thread};
 
-use crate::sync::{Condvar, Mutex};
+use crate::sync::Mutex;
 
 /// Identifier of a cooperative thread within one [`CoopScheduler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -69,40 +80,79 @@ pub enum Burst<R> {
     Finished,
 }
 
-/// A binary rendezvous gate: one side waits, the other opens.
-#[derive(Debug, Default)]
-struct Gate {
-    open: Mutex<bool>,
-    cv: Condvar,
+/// `Shared::go`: no order pending; the thread parks.
+const IDLE: u8 = 0;
+/// `Shared::go`: run the next burst.
+const RUN: u8 = 1;
+/// `Shared::go`: the scheduler is being dropped; unwind and exit.
+const QUIT: u8 = 2;
+
+/// What a burst left for the driver: its outcome (`Err` carries the
+/// message of a panic in the thread's body) and, if the driver got to
+/// [`Shared::collect`] first, the OS thread parked there.
+struct Done<R> {
+    outcome: Option<Result<Burst<R>, String>>,
+    waiter: Option<Thread>,
 }
 
-impl Gate {
-    fn open(&self) {
-        let mut g = self.open.lock();
-        *g = true;
-        self.cv.notify_one();
-    }
+/// The state one cooperative thread shares with its driver.
+struct Shared<R> {
+    /// Driver → thread. Stored by `start` / `drop`, consumed by the thread.
+    go: AtomicU8,
+    /// Thread → driver. Locked only to move a value in or out: neither
+    /// side parks or wakes anybody while holding it.
+    done: Mutex<Done<R>>,
+}
 
-    fn wait(&self) {
-        let mut g = self.open.lock();
-        while !*g {
-            self.cv.wait(&mut g);
+impl<R> Shared<R> {
+    /// Thread side: sleeps until the driver's next order. A stale `unpark`
+    /// token only costs one more trip round the loop. Returns `false` when
+    /// the order is to quit.
+    fn await_go(&self) -> bool {
+        loop {
+            match self.go.swap(IDLE, Ordering::SeqCst) {
+                IDLE => thread::park(),
+                order => return order == RUN,
+            }
         }
-        *g = false;
     }
-}
 
-struct Report<R> {
-    burst: Burst<R>,
+    /// Thread side: publishes the burst's outcome and wakes the driver if
+    /// it is already parked for it.
+    fn post(&self, outcome: Result<Burst<R>, String>) {
+        let waiter = {
+            let mut done = self.done.lock();
+            debug_assert!(done.outcome.is_none(), "outcome should be collected");
+            done.outcome = Some(outcome);
+            done.waiter.take()
+        };
+        if let Some(waiter) = waiter {
+            waiter.unpark();
+        }
+    }
+
+    /// Driver side: takes the burst's outcome, parking until it is posted.
+    /// The waiter is whichever OS thread calls this, registered afresh each
+    /// time it has to sleep.
+    fn collect(&self) -> Result<Burst<R>, String> {
+        loop {
+            {
+                let mut done = self.done.lock();
+                // `post` took the waiter when it left the outcome.
+                if let Some(outcome) = done.outcome.take() {
+                    return outcome;
+                }
+                done.waiter = Some(thread::current());
+            }
+            thread::park();
+        }
+    }
 }
 
 /// Handle given to a cooperative thread's body for yielding back to the
 /// simulation driver.
 pub struct Yielder<R> {
-    my_gate: Arc<Gate>,
-    done_gate: Arc<Gate>,
-    report: Arc<Mutex<Option<Report<R>>>>,
-    shutdown: Arc<AtomicBool>,
+    shared: Arc<Shared<R>>,
 }
 
 impl<R> fmt::Debug for Yielder<R> {
@@ -124,28 +174,37 @@ impl<R: Send + 'static> Yielder<R> {
     /// Unwinds (with an internal payload caught by the engine) if the
     /// scheduler is shut down while this thread is suspended.
     pub fn block(&self, reason: R) {
-        {
-            let mut slot = self.report.lock();
-            debug_assert!(slot.is_none(), "report slot should be drained");
-            *slot = Some(Report {
-                burst: Burst::Blocked(reason),
-            });
-        }
-        self.done_gate.open();
-        self.my_gate.wait();
-        if self.shutdown.load(Ordering::SeqCst) {
+        self.shared.post(Ok(Burst::Blocked(reason)));
+        if !self.shared.await_go() {
             std::panic::panic_any(ShutdownSignal);
         }
     }
 }
 
 struct ThreadSlot<R> {
-    gate: Arc<Gate>,
-    done_gate: Arc<Gate>,
-    report: Arc<Mutex<Option<Report<R>>>>,
+    shared: Arc<Shared<R>>,
+    /// `Some` until the thread is joined; also the handle `start` and
+    /// `drop` wake it through.
     join: Option<JoinHandle<()>>,
     finished: bool,
     running: bool,
+}
+
+impl<R> ThreadSlot<R> {
+    /// Gives the thread an order and wakes it; a no-op once it is joined.
+    fn order(&self, order: u8) {
+        if let Some(join) = &self.join {
+            self.shared.go.store(order, Ordering::SeqCst);
+            join.thread().unpark();
+        }
+    }
+
+    /// Joins the OS thread, which must be on its way out.
+    fn join(&mut self) {
+        if let Some(join) = self.join.take() {
+            let _ = join.join();
+        }
+    }
 }
 
 /// Owner and driver of a set of cooperative threads.
@@ -156,8 +215,6 @@ struct ThreadSlot<R> {
 /// the scheduler cleanly unwinds any still-suspended threads.
 pub struct CoopScheduler<R> {
     threads: Vec<ThreadSlot<R>>,
-    shutdown: Arc<AtomicBool>,
-    panic_slot: Arc<Mutex<Option<String>>>,
 }
 
 impl<R> fmt::Debug for CoopScheduler<R> {
@@ -173,8 +230,6 @@ impl<R: Send + 'static> CoopScheduler<R> {
     pub fn new() -> Self {
         CoopScheduler {
             threads: Vec::new(),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            panic_slot: Arc::new(Mutex::new(None)),
         }
     }
 
@@ -184,57 +239,35 @@ impl<R: Send + 'static> CoopScheduler<R> {
     where
         F: FnOnce(&Yielder<R>) + Send + 'static,
     {
-        let gate = Arc::new(Gate::default());
-        let done_gate = Arc::new(Gate::default());
-        let report: Arc<Mutex<Option<Report<R>>>> = Arc::new(Mutex::new(None));
+        let shared = Arc::new(Shared {
+            go: AtomicU8::new(IDLE),
+            done: Mutex::new(Done {
+                outcome: None,
+                waiter: None,
+            }),
+        });
         let yielder = Yielder {
-            my_gate: Arc::clone(&gate),
-            done_gate: Arc::clone(&done_gate),
-            report: Arc::clone(&report),
-            shutdown: Arc::clone(&self.shutdown),
+            shared: Arc::clone(&shared),
         };
-        let shutdown = Arc::clone(&self.shutdown);
-        let thread_report = Arc::clone(&report);
-        let thread_done = Arc::clone(&done_gate);
-        let my_gate = Arc::clone(&gate);
-        let panic_slot = Arc::clone(&self.panic_slot);
-        let join = std::thread::Builder::new()
+        let join = thread::Builder::new()
             .name(format!("coop-{}", self.threads.len()))
             .spawn(move || {
-                my_gate.wait();
-                if shutdown.load(Ordering::SeqCst) {
+                if !yielder.shared.await_go() {
                     return;
                 }
-                let result = catch_unwind(AssertUnwindSafe(|| f(&yielder)));
-                match result {
-                    Ok(()) => {
-                        *thread_report.lock() = Some(Report {
-                            burst: Burst::Finished,
-                        });
-                        thread_done.open();
-                    }
-                    Err(payload) => {
-                        if payload.downcast_ref::<ShutdownSignal>().is_some() {
-                            // Clean shutdown: exit silently; the driver is
-                            // not waiting on us.
-                        } else {
-                            // Re-raise on the driver side: leave the report
-                            // empty, stash the message, and wake the driver;
-                            // wait() will panic with it.
-                            let msg = panic_message(payload.as_ref());
-                            *thread_report.lock() = None;
-                            *panic_slot.lock() = Some(msg);
-                            thread_done.open();
-                        }
-                    }
+                match catch_unwind(AssertUnwindSafe(|| f(&yielder))) {
+                    Ok(()) => yielder.shared.post(Ok(Burst::Finished)),
+                    // Clean shutdown: exit silently; the driver is not
+                    // waiting on us.
+                    Err(payload) if payload.is::<ShutdownSignal>() => {}
+                    // Re-raised on the driver side by `wait`.
+                    Err(payload) => yielder.shared.post(Err(panic_message(payload.as_ref()))),
                 }
             })
             .expect("spawn coop thread");
         let id = CoopThreadId(self.threads.len());
         self.threads.push(ThreadSlot {
-            gate,
-            done_gate,
-            report,
+            shared,
             join: Some(join),
             finished: false,
             running: false,
@@ -284,7 +317,7 @@ impl<R: Send + 'static> CoopScheduler<R> {
         assert!(!slot.finished, "start of finished thread {tid}");
         assert!(!slot.running, "burst of {tid} already in flight");
         slot.running = true;
-        slot.gate.open();
+        slot.order(RUN);
     }
 
     /// Waits for the in-flight burst of thread `tid` and returns its
@@ -298,30 +331,14 @@ impl<R: Send + 'static> CoopScheduler<R> {
         let slot = &mut self.threads[tid.0];
         assert!(slot.running, "wait without a started burst on {tid}");
         slot.running = false;
-        slot.done_gate.wait();
-        let rep = slot.report.lock().take();
-        match rep {
-            Some(Report { burst }) => {
-                if matches!(burst, Burst::Finished) {
-                    slot.finished = true;
-                    if let Some(j) = slot.join.take() {
-                        let _ = j.join();
-                    }
-                }
-                burst
-            }
-            None => {
-                let msg = self
-                    .panic_slot
-                    .lock()
-                    .take()
-                    .unwrap_or_else(|| "coop thread panicked".to_owned());
-                slot.finished = true;
-                if let Some(j) = slot.join.take() {
-                    let _ = j.join();
-                }
-                panic!("application thread {tid} panicked: {msg}");
-            }
+        let outcome = slot.shared.collect();
+        if !matches!(outcome, Ok(Burst::Blocked(_))) {
+            slot.finished = true;
+            slot.join();
+        }
+        match outcome {
+            Ok(burst) => burst,
+            Err(msg) => panic!("application thread {tid} panicked: {msg}"),
         }
     }
 
@@ -347,12 +364,10 @@ impl<R: Send + 'static> Default for CoopScheduler<R> {
 
 impl<R> Drop for CoopScheduler<R> {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        // One at a time, so no two threads' unwinding ever overlaps.
         for slot in &mut self.threads {
-            if let Some(join) = slot.join.take() {
-                slot.gate.open();
-                let _ = join.join();
-            }
+            slot.order(QUIT);
+            slot.join();
         }
     }
 }
@@ -372,6 +387,38 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::resume_unwind;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::time::Duration;
+
+    /// Runs `body` on its own OS thread and fails, instead of hanging the
+    /// suite, if it has not returned within two minutes: a lost wake-up
+    /// shows up as this panic.
+    fn watchdog<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        let runner = thread::spawn(move || {
+            let _ = tx.send(body());
+        });
+        match rx.recv_timeout(Duration::from_secs(120)) {
+            Ok(v) => {
+                runner.join().expect("body already returned");
+                v
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("hand-off hung: lost wake-up"),
+            Err(RecvTimeoutError::Disconnected) => {
+                resume_unwind(runner.join().expect_err("body dropped the sender"))
+            }
+        }
+    }
+
+    /// Spins until `tid`'s burst has posted its outcome, so that the next
+    /// `wait` is known to find it there.
+    fn until_posted<R>(s: &CoopScheduler<R>, tid: CoopThreadId) {
+        while s.threads[tid.0].shared.done.lock().outcome.is_none() {
+            thread::yield_now();
+        }
+    }
 
     #[test]
     fn single_thread_burst_sequence() {
@@ -489,5 +536,119 @@ mod tests {
         for &t in &tids {
             assert_eq!(s.resume(t), Burst::Finished);
         }
+    }
+
+    #[test]
+    fn overlapped_panics_name_their_own_thread() {
+        let mut s: CoopScheduler<()> = CoopScheduler::new();
+        let a = s.spawn(|_| panic!("alpha gives up"));
+        let b = s.spawn(|_| panic!("beta gives up"));
+        s.start(a);
+        s.start(b);
+        // Both messages are written before either is read.
+        until_posted(&s, a);
+        until_posted(&s, b);
+        for (tid, want) in [
+            (a, "application thread coop#0 panicked: alpha gives up"),
+            (b, "application thread coop#1 panicked: beta gives up"),
+        ] {
+            let payload = catch_unwind(AssertUnwindSafe(|| s.wait(tid))).expect_err("panics");
+            assert_eq!(panic_message(payload.as_ref()), want);
+            assert!(s.is_finished(tid));
+        }
+    }
+
+    #[test]
+    fn hundred_thousand_overlapped_round_trips() {
+        watchdog(|| {
+            let mut s: CoopScheduler<(usize, u32)> = CoopScheduler::new();
+            let tids: Vec<_> = (0..8)
+                .map(|i| {
+                    s.spawn(move |y| {
+                        for round in 0.. {
+                            y.block((i, round));
+                        }
+                    })
+                })
+                .collect();
+            for round in 0..12_500 {
+                for &t in &tids {
+                    s.start(t);
+                }
+                for (i, &t) in tids.iter().enumerate().rev() {
+                    assert_eq!(s.wait(t), Burst::Blocked((i, round)));
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn burst_that_ends_before_wait_is_collected_without_parking() {
+        watchdog(|| {
+            let mut s: CoopScheduler<u32> = CoopScheduler::new();
+            let t = s.spawn(|y| y.block(7));
+            for want in [Burst::Blocked(7), Burst::Finished] {
+                s.start(t);
+                until_posted(&s, t);
+                assert_eq!(s.wait(t), want);
+                let done = s.threads[t.0].shared.done.lock();
+                assert!(done.outcome.is_none() && done.waiter.is_none());
+            }
+        });
+    }
+
+    #[test]
+    fn stale_unpark_token_does_not_resume_early() {
+        watchdog(|| {
+            let allowed = Arc::new(AtomicBool::new(false));
+            let early = Arc::new(AtomicBool::new(false));
+            let (allowed2, early2) = (Arc::clone(&allowed), Arc::clone(&early));
+            let mut s: CoopScheduler<u32> = CoopScheduler::new();
+            let t = s.spawn(move |y| {
+                thread::current().unpark();
+                y.block(1);
+                early2.store(!allowed2.load(Ordering::SeqCst), Ordering::SeqCst);
+                y.block(2);
+            });
+            assert_eq!(s.resume(t), Burst::Blocked(1));
+            // Time for the token to do its damage if `block` trusted it.
+            thread::sleep(Duration::from_millis(50));
+            allowed.store(true, Ordering::SeqCst);
+            assert_eq!(s.resume(t), Burst::Blocked(2));
+            assert!(!early.load(Ordering::SeqCst), "ran before it was resumed");
+            assert_eq!(s.resume(t), Burst::Finished);
+        });
+    }
+
+    #[test]
+    fn built_driven_and_dropped_on_three_os_threads() {
+        watchdog(|| {
+            let body = |y: &Yielder<u32>| {
+                for i in 0.. {
+                    y.block(i);
+                }
+            };
+            // Built on one thread, which also does the first `wait` …
+            let (mut s, a, b) = thread::spawn(move || {
+                let mut s: CoopScheduler<u32> = CoopScheduler::new();
+                let (a, b) = (s.spawn(body), s.spawn(body));
+                assert_eq!(s.resume(a), Burst::Blocked(0));
+                (s, a, b)
+            })
+            .join()
+            .expect("builder");
+            // … driven from a second, after the first has exited …
+            let s = thread::spawn(move || {
+                for i in 1..1000 {
+                    assert_eq!(s.resume(a), Burst::Blocked(i));
+                }
+                s.start(b);
+                s
+            })
+            .join()
+            .expect("driver");
+            // … and dropped from a third with `b`'s burst never collected.
+            thread::spawn(move || drop(s)).join().expect("dropper");
+        });
     }
 }

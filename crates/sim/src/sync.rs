@@ -6,16 +6,14 @@
 //! [`Mutex::lock`] (no `Result`), keeping call sites clean and the
 //! workspace free of external dependencies.
 
-use std::fmt;
-use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
 
 /// A mutual-exclusion lock whose `lock` returns the guard directly.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
 
 /// Guard returned by [`Mutex::lock`]; unlocks on drop.
-pub struct MutexGuard<'a, T: ?Sized>(Option<std::sync::MutexGuard<'a, T>>);
+pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
 
 impl<T> Mutex<T> {
     /// Creates a lock around `value`.
@@ -28,61 +26,7 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available. A poisoned lock (a
     /// panic while held) is recovered rather than propagated.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(Some(self.0.lock().unwrap_or_else(PoisonError::into_inner)))
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.as_ref().expect("guard held").fmt(f)
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.0.as_ref().expect("guard present")
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.0.as_mut().expect("guard present")
-    }
-}
-
-/// A condition variable usable with [`MutexGuard`] by mutable reference.
-#[derive(Debug, Default)]
-pub struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    /// Creates a condition variable.
-    pub fn new() -> Self {
-        Condvar(std::sync::Condvar::new())
-    }
-
-    /// Atomically releases the guarded lock and waits for a notification,
-    /// reacquiring before returning. Spurious wakeups are possible; wait
-    /// in a predicate loop.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.0.take().expect("guard present");
-        guard.0 = Some(self.0.wait(inner).unwrap_or_else(PoisonError::into_inner));
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
-    /// Wakes all waiters.
-    pub fn notify_all(&self) {
-        self.0.notify_all();
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -96,26 +40,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
-    }
-
-    #[test]
-    fn condvar_handoff_between_threads() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*pair2;
-            let mut done = m.lock();
-            *done = true;
-            drop(done);
-            cv.notify_one();
-        });
-        let (m, cv) = &*pair;
-        let mut done = m.lock();
-        while !*done {
-            cv.wait(&mut done);
-        }
-        drop(done);
-        t.join().unwrap();
     }
 
     #[test]
