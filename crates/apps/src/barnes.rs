@@ -61,8 +61,9 @@ impl BarnesConfig {
     }
 }
 
-/// A private octree node.
-#[derive(Debug, Clone)]
+/// A private octree node. An internal node's eight children sit side by
+/// side in the tree's arena, octant `k` at `first + k`.
+#[derive(Debug, Clone, Copy)]
 enum Cell {
     Empty,
     Body {
@@ -70,17 +71,18 @@ enum Cell {
         mass: f64,
     },
     Internal {
-        children: Box<[Cell; 8]>,
+        first: u32,
         com: [f64; 3],
         mass: f64,
         half: f64,
     },
 }
 
-/// A fully built private octree.
+/// A fully built private octree: every cell in one arena, the root at
+/// index 0, children always after their parent.
 #[derive(Debug)]
 pub struct Octree {
-    root: Cell,
+    cells: Vec<Cell>,
     center: [f64; 3],
     half: f64,
     inserted: usize,
@@ -89,6 +91,20 @@ pub struct Octree {
 impl Octree {
     /// Builds the tree over the given bodies.
     pub fn build(bodies: &[([f64; 3], f64)]) -> Octree {
+        let mut tree = Octree {
+            cells: Vec::new(),
+            center: [0.0; 3],
+            half: 0.0,
+            inserted: 0,
+        };
+        tree.rebuild(bodies);
+        tree
+    }
+
+    /// Replaces the tree with one over `bodies`, reusing the arena: equal
+    /// to a fresh [`build`](Self::build), without returning the memory to
+    /// the allocator and faulting it in again.
+    pub fn rebuild(&mut self, bodies: &[([f64; 3], f64)]) {
         let mut lo = [f64::INFINITY; 3];
         let mut hi = [f64::NEG_INFINITY; 3];
         for (p, _) in bodies {
@@ -97,25 +113,18 @@ impl Octree {
                 hi[d] = hi[d].max(p[d]);
             }
         }
-        let mut half: f64 = 1e-6;
-        let mut center = [0.0; 3];
+        self.half = 1e-6;
         for d in 0..3 {
-            center[d] = 0.5 * (lo[d] + hi[d]);
-            half = half.max(0.5 * (hi[d] - lo[d]) + 1e-9);
+            self.center[d] = 0.5 * (lo[d] + hi[d]);
+            self.half = self.half.max(0.5 * (hi[d] - lo[d]) + 1e-9);
         }
-        let mut tree = Octree {
-            root: Cell::Empty,
-            center,
-            half,
-            inserted: 0,
-        };
+        self.cells.clear();
+        self.cells.push(Cell::Empty);
         for &(p, m) in bodies {
-            let (center, half) = (tree.center, tree.half);
-            Self::insert(&mut tree.root, center, half, p, m, 0);
-            tree.inserted += 1;
+            self.insert(p, m);
         }
-        Self::summarize(&mut tree.root);
-        tree
+        self.inserted = bodies.len();
+        self.summarize();
     }
 
     /// Number of bodies inserted.
@@ -128,95 +137,100 @@ impl Octree {
         self.inserted == 0
     }
 
-    fn insert(
-        cell: &mut Cell,
-        center: [f64; 3],
-        half: f64,
-        pos: [f64; 3],
-        mass: f64,
-        depth: usize,
-    ) {
-        match cell {
-            Cell::Empty => {
-                *cell = Cell::Body { pos, mass };
+    /// The child octant of a cell centred at `center` that holds `pos`,
+    /// and that octant's centre (`q` is the child's half-width).
+    fn octant(center: [f64; 3], q: f64, pos: [f64; 3]) -> (usize, [f64; 3]) {
+        let mut idx = 0;
+        let mut ncenter = center;
+        for d in 0..3 {
+            if pos[d] >= center[d] {
+                idx |= 1 << d;
+                ncenter[d] += q;
+            } else {
+                ncenter[d] -= q;
             }
-            Cell::Body {
-                pos: opos,
-                mass: omass,
-            } => {
-                if depth > 60 || (pos == *opos) {
-                    // Coincident bodies: merge masses (keeps termination).
-                    *cell = Cell::Body {
-                        pos: *opos,
-                        mass: *omass + mass,
-                    };
+        }
+        (idx, ncenter)
+    }
+
+    fn insert(&mut self, pos: [f64; 3], mass: f64) {
+        let (mut at, mut center, mut half, mut depth) = (0, self.center, self.half, 0);
+        loop {
+            match self.cells[at] {
+                Cell::Empty => {
+                    self.cells[at] = Cell::Body { pos, mass };
                     return;
                 }
-                let (op, om) = (*opos, *omass);
-                let children: Box<[Cell; 8]> = Box::new([
-                    Cell::Empty,
-                    Cell::Empty,
-                    Cell::Empty,
-                    Cell::Empty,
-                    Cell::Empty,
-                    Cell::Empty,
-                    Cell::Empty,
-                    Cell::Empty,
-                ]);
-                *cell = Cell::Internal {
-                    children,
-                    com: [0.0; 3],
-                    mass: 0.0,
-                    half,
-                };
-                Self::insert(cell, center, half, op, om, depth);
-                Self::insert(cell, center, half, pos, mass, depth);
-            }
-            Cell::Internal { children, .. } => {
-                let mut idx = 0;
-                let mut ncenter = center;
-                let q = half / 2.0;
-                for d in 0..3 {
-                    if pos[d] >= center[d] {
-                        idx |= 1 << d;
-                        ncenter[d] += q;
-                    } else {
-                        ncenter[d] -= q;
+                Cell::Body {
+                    pos: opos,
+                    mass: omass,
+                } => {
+                    if depth > 60 || pos == opos {
+                        // Coincident bodies: merge masses (keeps termination).
+                        self.cells[at] = Cell::Body {
+                            pos: opos,
+                            mass: omass + mass,
+                        };
+                        return;
                     }
+                    // Split: the resident body moves into its octant of
+                    // the eight fresh children, then the new one descends
+                    // from this cell again.
+                    let first = self.cells.len();
+                    self.cells.resize(first + 8, Cell::Empty);
+                    self.cells[at] = Cell::Internal {
+                        first: u32::try_from(first).expect("octree arena fits u32 indices"),
+                        com: [0.0; 3],
+                        mass: 0.0,
+                        half,
+                    };
+                    let (idx, _) = Self::octant(center, half / 2.0, opos);
+                    self.cells[first + idx] = Cell::Body {
+                        pos: opos,
+                        mass: omass,
+                    };
                 }
-                Self::insert(&mut children[idx], ncenter, q, pos, mass, depth + 1);
+                Cell::Internal { first, .. } => {
+                    let q = half / 2.0;
+                    let (idx, ncenter) = Self::octant(center, q, pos);
+                    (at, center, half, depth) = (first as usize + idx, ncenter, q, depth + 1);
+                }
             }
         }
     }
 
-    fn summarize(cell: &mut Cell) -> ([f64; 3], f64) {
-        match cell {
-            Cell::Empty => ([0.0; 3], 0.0),
-            Cell::Body { pos, mass } => (*pos, *mass),
-            Cell::Internal {
-                children,
-                com,
-                mass,
-                ..
-            } => {
-                let mut m = 0.0;
-                let mut c = [0.0; 3];
-                for ch in children.iter_mut() {
-                    let (cc, cm) = Self::summarize(ch);
-                    m += cm;
-                    for d in 0..3 {
-                        c[d] += cc[d] * cm;
-                    }
+    /// Fills in every internal node's mass and centre of mass. Children
+    /// follow their parent in the arena, so one backward pass sees each
+    /// node after all of its descendants.
+    fn summarize(&mut self) {
+        for at in (0..self.cells.len()).rev() {
+            let Cell::Internal { first, half, .. } = self.cells[at] else {
+                continue;
+            };
+            let mut m = 0.0;
+            let mut c = [0.0; 3];
+            for ch in &self.cells[first as usize..first as usize + 8] {
+                let (cc, cm) = match *ch {
+                    Cell::Empty => ([0.0; 3], 0.0),
+                    Cell::Body { pos, mass } => (pos, mass),
+                    Cell::Internal { com, mass, .. } => (com, mass),
+                };
+                m += cm;
+                for d in 0..3 {
+                    c[d] += cc[d] * cm;
                 }
-                if m > 0.0 {
-                    for d in c.iter_mut() {
-                        *d /= m;
-                    }
-                }
-                *com = c;
-                *mass = m;
-                (c, m)
             }
+            if m > 0.0 {
+                for d in c.iter_mut() {
+                    *d /= m;
+                }
+            }
+            self.cells[at] = Cell::Internal {
+                first,
+                com: c,
+                mass: m,
+                half,
+            };
         }
     }
 
@@ -225,13 +239,20 @@ impl Octree {
     pub fn force(&self, pos: [f64; 3], theta: f64) -> ([f64; 3], u64) {
         let mut acc = [0.0; 3];
         let mut count = 0;
-        Self::force_walk(&self.root, pos, theta, &mut acc, &mut count);
+        self.force_walk(0, pos, theta, &mut acc, &mut count);
         (acc, count)
     }
 
-    fn force_walk(cell: &Cell, pos: [f64; 3], theta: f64, acc: &mut [f64; 3], count: &mut u64) {
+    fn force_walk(
+        &self,
+        at: usize,
+        pos: [f64; 3],
+        theta: f64,
+        acc: &mut [f64; 3],
+        count: &mut u64,
+    ) {
         const EPS2: f64 = 1e-4;
-        match cell {
+        match &self.cells[at] {
             Cell::Empty => {}
             Cell::Body { pos: p, mass: m } => {
                 let d = [p[0] - pos[0], p[1] - pos[1], p[2] - pos[2]];
@@ -245,7 +266,7 @@ impl Octree {
                 }
             }
             Cell::Internal {
-                children,
+                first,
                 com,
                 mass,
                 half: chalf,
@@ -260,8 +281,9 @@ impl Octree {
                     }
                     *count += 1;
                 } else {
-                    for ch in children.iter() {
-                        Self::force_walk(ch, pos, theta, acc, count);
+                    let first = *first as usize;
+                    for ch in first..first + 8 {
+                        self.force_walk(ch, pos, theta, acc, count);
                     }
                 }
             }
@@ -316,13 +338,16 @@ fn run(ctx: &mut ThreadCtx<'_>, cfg: &BarnesConfig, a: &Arrays) {
 
     let (lo, hi) = chunk(ctx.global_id(), ctx.total_threads(), n);
 
+    // One body buffer and one tree arena for the whole run: a thread
+    // faults their memory in once, not once a step.
+    let mut bodies = vec![([0.0f64; 3], 0.0f64); n];
+    let mut tree = Octree::build(&[]);
     for _step in 0..cfg.steps {
         // Phase 1: read all bodies (the remote traffic) and build a
         // private tree — the paper's privatized (`g`) tree build. Each
         // thread starts fetching at its own partition and wraps, so
         // co-located threads touch different pages at any instant and
         // their remote faults overlap instead of piling onto one page.
-        let mut bodies = vec![([0.0f64; 3], 0.0f64); n];
         for k in 0..n {
             let i = (lo + k) % n;
             let p = [
@@ -332,7 +357,7 @@ fn run(ctx: &mut ThreadCtx<'_>, cfg: &BarnesConfig, a: &Arrays) {
             ];
             bodies[i] = (p, a.mass.read(ctx, i));
         }
-        let tree = Octree::build(&bodies);
+        tree.rebuild(&bodies);
         charge_flops(ctx, (n as u64) * 20); // tree construction
         ctx.barrier(); // position snapshot complete before anyone updates
 
@@ -430,6 +455,9 @@ pub fn checksum_of_config(
     });
     (f64::from_bits(out.load(Ordering::SeqCst)), report)
 }
+
+#[cfg(test)]
+mod boxed_tree;
 
 #[cfg(test)]
 mod tests {

@@ -92,31 +92,53 @@ impl KvConfig {
         }
     }
 
-    /// Validates internal consistency.
+    /// Checks internal consistency: what a deck or a command line may
+    /// get wrong.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on zero keys/shards/duration, more shards than keys, a skew
-    /// outside `(0, 1)`, a mix outside `[0, 1]`, or a non-positive rate.
-    pub fn validate(&self) {
-        assert!(self.keys > 0, "need at least one key");
-        assert!(
-            self.shards > 0 && self.shards <= self.keys,
-            "shards must be in 1..=keys"
-        );
-        assert!(
-            self.theta > 0.0 && self.theta < 1.0,
-            "theta must be in (0, 1)"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.write_mix),
-            "write_mix must be in [0, 1]"
-        );
-        assert!(
-            self.rate_rps.is_finite() && self.rate_rps > 0.0,
-            "rate must be positive"
-        );
-        assert!(self.duration_ms > 0, "duration must be positive");
+    /// Names the field and the offending value on zero
+    /// keys/shards/duration, more shards than keys, a skew outside
+    /// `(0, 1)`, a mix outside `[0, 1]`, or a rate that is not positive
+    /// and finite.
+    pub fn validate(&self) -> Result<(), String> {
+        let (keys, shards) = (self.keys, self.shards);
+        if keys == 0 {
+            return Err("keys must be positive".into());
+        }
+        if shards == 0 {
+            return Err("shards must be in 1..=keys (got 0)".into());
+        }
+        if shards > keys {
+            return Err(format!("shards must be in 1..=keys ({shards} > {keys})"));
+        }
+        if !(self.theta > 0.0 && self.theta < 1.0) {
+            return Err(format!("theta must be in (0, 1), got {}", self.theta));
+        }
+        if !(0.0..=1.0).contains(&self.write_mix) {
+            return Err(format!(
+                "write_mix must be in [0, 1], got {}",
+                self.write_mix
+            ));
+        }
+        if !(self.rate_rps.is_finite() && self.rate_rps > 0.0) {
+            return Err(format!(
+                "rate_rps must be positive and finite, got {}",
+                self.rate_rps
+            ));
+        }
+        if self.duration_ms == 0 {
+            return Err("duration_ms must be positive".into());
+        }
+        Ok(())
+    }
+
+    /// [`validate`](Self::validate) for a configuration that input
+    /// checking has already passed: a failure here is a bug in the caller.
+    fn assert_valid(&self) {
+        if let Err(e) = self.validate() {
+            panic!("invalid KV configuration: {e}");
+        }
     }
 
     /// The shard owning `key` (contiguous key ranges, so each shard's
@@ -137,7 +159,7 @@ impl KvConfig {
 
 /// Builds the KV serving body over `b`'s shared segment.
 pub fn build(b: &mut CvmBuilder, cfg: KvConfig) -> AppBody {
-    cfg.validate();
+    cfg.assert_valid();
     let table: SharedVec<u64> = b.alloc::<u64>(cfg.keys);
     // Slot 0: table sum published by thread 0 after verification (bits of
     // the f64); slot 1: total requests served (as f64 bits).
@@ -217,7 +239,7 @@ pub fn serve_of_config(cfg: &KvConfig, dsm: cvm_dsm::CvmConfig) -> (u64, u64, cv
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     let mut b = CvmBuilder::new(dsm);
-    cfg.validate();
+    cfg.assert_valid();
     let table: SharedVec<u64> = b.alloc::<u64>(cfg.keys);
     let sink = b.alloc::<f64>(2);
     let out_sum = Arc::new(AtomicU64::new(0));
@@ -315,10 +337,41 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shards must be in")]
-    fn validate_rejects_more_shards_than_keys() {
+    fn validate_names_the_field_and_the_value() {
+        let bad = |edit: fn(&mut KvConfig)| {
+            let mut cfg = tiny();
+            edit(&mut cfg);
+            cfg.validate().expect_err("rejected")
+        };
+        assert_eq!(tiny().validate(), Ok(()));
+        assert_eq!(bad(|c| c.keys = 0), "keys must be positive");
+        assert_eq!(bad(|c| c.shards = 0), "shards must be in 1..=keys (got 0)");
+        let keys = tiny().keys;
+        assert_eq!(
+            bad(|c| c.shards = c.keys + 1),
+            format!("shards must be in 1..=keys ({} > {keys})", keys + 1)
+        );
+        assert_eq!(bad(|c| c.theta = 1.0), "theta must be in (0, 1), got 1");
+        assert_eq!(
+            bad(|c| c.theta = f64::NAN),
+            "theta must be in (0, 1), got NaN"
+        );
+        assert_eq!(
+            bad(|c| c.write_mix = -0.5),
+            "write_mix must be in [0, 1], got -0.5"
+        );
+        assert_eq!(
+            bad(|c| c.rate_rps = f64::INFINITY),
+            "rate_rps must be positive and finite, got inf"
+        );
+        assert_eq!(bad(|c| c.duration_ms = 0), "duration_ms must be positive");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid KV configuration: shards must be in")]
+    fn building_an_unchecked_configuration_is_a_bug() {
         let mut cfg = tiny();
         cfg.shards = cfg.keys + 1;
-        cfg.validate();
+        let _ = build(&mut CvmBuilder::new(cvm_dsm::CvmConfig::small(1, 1)), cfg);
     }
 }

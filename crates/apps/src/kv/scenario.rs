@@ -79,6 +79,27 @@ impl ServeScenario {
         }
     }
 
+    /// Checks the values a deck or a command line supplied.
+    ///
+    /// # Errors
+    ///
+    /// Names the field and the offending value: anything
+    /// [`KvConfig::validate`] rejects, an empty topology, or a sweep rate
+    /// that is not positive and finite.
+    pub fn validate(&self) -> Result<(), String> {
+        self.kv.validate()?;
+        if self.nodes == 0 {
+            return Err("nodes must be positive".into());
+        }
+        if self.threads == 0 {
+            return Err("threads must be positive".into());
+        }
+        match self.sweep.iter().find(|r| !(r.is_finite() && **r > 0.0)) {
+            Some(r) => Err(format!("sweep rates must be positive and finite, got {r}")),
+            None => Ok(()),
+        }
+    }
+
     /// Names of the builtins, for usage text.
     pub const BUILTINS: [&'static str; 2] = ["smoke", "session"];
 
@@ -88,7 +109,8 @@ impl ServeScenario {
     /// # Errors
     ///
     /// Returns a message naming the offending line for malformed syntax,
-    /// unknown sections/keys, or unparsable values.
+    /// unknown sections/keys, or unparsable values, and one naming the
+    /// field for a value [`validate`](Self::validate) rejects.
     pub fn parse(name: &str, text: &str) -> Result<ServeScenario, String> {
         let mut sc = ServeScenario::builtin("session").expect("builtin exists");
         sc.name = name.to_string();
@@ -152,8 +174,7 @@ impl ServeScenario {
                 (s, k) => return Err(at(format!("unknown key {k:?} in section [{s}]"))),
             }
         }
-        sc.kv.validate();
-        assert!(sc.nodes > 0 && sc.threads > 0, "topology must be non-empty");
+        sc.validate()?;
         Ok(sc)
     }
 }
@@ -166,7 +187,7 @@ mod tests {
     fn builtins_validate() {
         for name in ServeScenario::BUILTINS {
             let sc = ServeScenario::builtin(name).expect("builtin");
-            sc.kv.validate();
+            assert_eq!(sc.validate(), Ok(()));
             assert_eq!(sc.name, name);
         }
         assert!(ServeScenario::builtin("nope").is_none());

@@ -147,10 +147,10 @@ impl Diff {
         self.modified_bytes() / DIFF_WORD
     }
 
-    /// The word indices this diff writes, ascending (runs are word
-    /// aligned and sorted by offset).
-    pub fn words(&self) -> impl Iterator<Item = usize> + '_ {
-        self.runs.iter().flat_map(|r| {
+    /// The word-index range of each run, ascending and disjoint (runs
+    /// are word aligned and sorted by offset).
+    pub fn word_runs(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        self.runs.iter().map(|r| {
             let w0 = r.offset / DIFF_WORD;
             w0..w0 + r.data.len() / DIFF_WORD
         })

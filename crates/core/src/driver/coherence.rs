@@ -58,6 +58,18 @@ pub trait Coherence {
     );
 }
 
+/// What a completed fetch put into the node's copy, for a protocol that
+/// tracks more about a page than the shared watermarks.
+#[derive(Debug)]
+pub(super) struct Fetched {
+    pub(super) page: usize,
+    /// The whole page was overwritten by a fetched base copy first.
+    pub(super) base_replaced: bool,
+    /// The diffs applied, in application order: `(tag, close gseq,
+    /// writer, diff)`.
+    pub(super) diffs: Vec<(u32, u64, usize, Diff)>,
+}
+
 /// A page fetch in progress on one node.
 #[derive(Debug, Default)]
 pub(super) struct PendingFetch {
@@ -160,10 +172,10 @@ impl DriverCore {
     }
 
     /// Shared message path for the pull-based protocols: page/diff
-    /// requests and replies. Returns the page whose fetch completed with
-    /// this message, if any, so the caller can apply protocol-specific
-    /// bookkeeping (the eager protocol re-registers the node in the
-    /// copyset).
+    /// requests and replies. Returns the fetch this message completed, if
+    /// any, so the caller can apply protocol-specific bookkeeping (the
+    /// eager protocol re-registers the node in the copyset and versions
+    /// the words the fetch wrote).
     ///
     /// # Panics
     ///
@@ -175,7 +187,7 @@ impl DriverCore {
         src: usize,
         payload: Payload,
         t: VirtualTime,
-    ) -> Option<usize> {
+    ) -> Option<Fetched> {
         match payload {
             Payload::PageRequest { page } => {
                 let data = self.cell(n).page_bytes(page.0).to_vec();
@@ -190,8 +202,7 @@ impl DriverCore {
                     f.base = Some(data);
                     f.replies_needed -= 1;
                     if f.replies_needed == 0 {
-                        self.complete_fetch(n, p, t);
-                        return Some(p);
+                        return Some(self.complete_fetch(n, p, t));
                     }
                 }
                 None
@@ -238,8 +249,7 @@ impl DriverCore {
                     }
                     f.replies_needed -= 1;
                     if f.replies_needed == 0 {
-                        self.complete_fetch(n, p, t);
-                        return Some(p);
+                        return Some(self.complete_fetch(n, p, t));
                     }
                 }
                 None
@@ -251,7 +261,7 @@ impl DriverCore {
     /// All replies are in: apply base + diffs in happens-before order,
     /// retire satisfied notices, charge the local apply cost and wake the
     /// fault's waiters.
-    pub(super) fn complete_fetch(&mut self, n: usize, page: usize, t: VirtualTime) {
+    pub(super) fn complete_fetch(&mut self, n: usize, page: usize, t: VirtualTime) -> Fetched {
         let mut fetch = self.ctl[n].fetches.remove(&page).expect("fetch exists");
         let mut words = 0usize;
         // Apply in happens-before order: close-sequence, then writer,
@@ -275,7 +285,6 @@ impl DriverCore {
                     format!("diffs for p{page} applied out of happens-before order")
                 });
         }
-        let eager = self.cfg.protocol == crate::protocol::ProtocolKind::EagerUpdate;
         let base = fetch.base.take();
         {
             let mut cell = self.cell(n);
@@ -288,20 +297,11 @@ impl DriverCore {
             }
         }
         let ctl = &mut self.ctl[n];
-        if eager && base.is_some() {
-            // The whole page was replaced by a copy of unknown word
-            // provenance; stale per-word versions would overstate what
-            // we hold.
-            ctl.word_ver.remove(&page);
-        }
-        for (tag, gseq, w, d) in &fetch.diffs {
+        for (tag, gseq, w, _) in &fetch.diffs {
             let e = ctl.applied_dtag.entry((page, *w)).or_insert(0);
             *e = (*e).max(*tag);
             let e = ctl.applied_gseq.entry(page).or_insert(0);
             *e = (*e).max(*gseq);
-            if eager {
-                ctl.note_words(page, d, *gseq);
-            }
         }
         self.stats.diffs_used += fetch.diffs.len() as u64;
         self.trace.record(
@@ -341,6 +341,11 @@ impl DriverCore {
         }
         for (tid, _write) in fetch.waiters {
             self.make_ready(n, tid, clock);
+        }
+        Fetched {
+            page,
+            base_replaced: base.is_some(),
+            diffs: fetch.diffs,
         }
     }
 

@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use cvm_sim::VirtualTime;
 
-use crate::diff::Diff;
+use crate::diff::{Diff, DIFF_WORD};
 use crate::msg::Payload;
 use crate::page::{PageId, PageState};
 use crate::protocol::CopysetEntry;
@@ -37,15 +37,71 @@ use crate::trace::TraceEvent;
 
 use super::{Coherence, DriverCore};
 
-/// A push that arrived before its causal predecessors; retried when the
-/// page's applied watermark advances.
-struct ParkedPush {
+/// One pushed diff with the causal guards it travels with. One that
+/// arrives before its predecessors is parked under its close sequence and
+/// retried when the page's applied watermark advances.
+struct Push {
     src: usize,
     tag: u32,
     diff: Diff,
     prev: u32,
     upto: u32,
     base: u64,
+}
+
+/// Per `(node, page)`: for every word of the page, the close sequence of
+/// the last diff known to write it — applied there, or the node's own.
+/// Lets a writer compute a new diff's causal `base` from true word
+/// overlap rather than the whole-page watermark, which would impose false
+/// dependencies between word-disjoint concurrent diffs of multi-writer
+/// pages.
+///
+/// A page's entry is a dense `page_size / 8` array (the size of a twin),
+/// allocated when the node first sees an eager diff of the page, and is
+/// read and written a run at a time. Like the shared watermarks it is
+/// compared with (`applied_gseq`, the diff cache), it outlives the
+/// measurement reset.
+#[derive(Default)]
+struct WordVersions {
+    /// Words in a page; set by `reset`, before any diff exists.
+    page_words: usize,
+    pages: HashMap<(usize, usize), Box<[u64]>>,
+}
+
+impl WordVersions {
+    /// Records that the words `d` writes on node `n` now reflect the diff
+    /// closed at `gseq`.
+    fn note(&mut self, n: usize, d: &Diff, gseq: u64) {
+        let vers = self
+            .pages
+            .entry((n, d.page.0))
+            .or_insert_with(|| vec![0; self.page_words].into_boxed_slice());
+        for run in d.word_runs() {
+            for v in &mut vers[run] {
+                *v = (*v).max(gseq);
+            }
+        }
+    }
+
+    /// Highest close sequence among diffs known on node `n` to write any
+    /// word that `d` also writes — the overlap causal base.
+    fn base(&self, n: usize, d: &Diff) -> u64 {
+        let Some(vers) = self.pages.get(&(n, d.page.0)) else {
+            return 0;
+        };
+        d.word_runs()
+            .flat_map(|run| &vers[run])
+            .copied()
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Forgets node `n`'s versions of `page`: the whole page was replaced
+    /// by a copy of unknown word provenance, and stale versions would
+    /// overstate what the node holds.
+    fn clear(&mut self, n: usize, page: usize) {
+        self.pages.remove(&(n, page));
+    }
 }
 
 /// Eager update with adaptive copyset pruning.
@@ -56,7 +112,8 @@ struct ParkedPush {
 pub(super) struct EagerUpdate {
     copysets: Vec<CopysetEntry>,
     /// Early pushes per `(node, page)`, ordered by close sequence.
-    parked: HashMap<(usize, usize), BTreeMap<u64, ParkedPush>>,
+    parked: HashMap<(usize, usize), BTreeMap<u64, Push>>,
+    word_ver: WordVersions,
 }
 
 impl std::fmt::Debug for EagerUpdate {
@@ -64,6 +121,7 @@ impl std::fmt::Debug for EagerUpdate {
         f.debug_struct("EagerUpdate")
             .field("copysets", &self.copysets.len())
             .field("parked", &self.parked.len())
+            .field("word_ver", &self.word_ver.pages.len())
             .finish()
     }
 }
@@ -79,20 +137,23 @@ enum Refusal {
 impl EagerUpdate {
     /// Applies one push if every guard passes. On refusal, says whether
     /// the push may still apply later (park it) or never will (drop it).
-    #[allow(clippy::too_many_arguments)]
     fn try_apply(
         core: &mut DriverCore,
+        vers: &mut WordVersions,
         n: usize,
-        src: usize,
-        page: PageId,
-        tag: u32,
         gseq: u64,
-        d: &Diff,
-        prev: u32,
-        upto: u32,
-        base: u64,
+        push: &Push,
         t: VirtualTime,
     ) -> Result<(), Refusal> {
+        let &Push {
+            src,
+            tag,
+            diff: ref d,
+            prev,
+            upto,
+            base,
+        } = push;
+        let page = d.page;
         let p = page.0;
         if core.ctl[n].fetches.contains_key(&p) {
             // A lazy fetch is in flight; let it win rather than risk
@@ -115,7 +176,7 @@ impl EagerUpdate {
             // notices whose data we never received.
             return Err(Refusal::Early);
         }
-        if core.ctl[n].word_base(p, d) < base {
+        if vers.base(n, d) < base {
             // The diff read-modify-wrote words whose versions we have not
             // applied. Accepting it would move our watermark past the
             // hole, and the recovery fetch would then patch the *older*
@@ -141,7 +202,7 @@ impl EagerUpdate {
         let e = core.ctl[n].applied_dtag.entry(kd).or_insert(0);
         *e = (*e).max(tag);
         core.ctl[n].applied_gseq.insert(p, gseq);
-        core.ctl[n].note_words(p, d, gseq);
+        vers.note(n, d, gseq);
         let e = core.ctl[n].applied_ivl.entry(kd).or_insert(0);
         *e = (*e).max(upto);
         if core.cfg.verify {
@@ -186,25 +247,9 @@ impl EagerUpdate {
             let Some((&gseq, _)) = held.first_key_value() else {
                 break;
             };
-            let park = held.get(&gseq).expect("just peeked");
-            let ok = Self::try_apply(
-                core,
-                n,
-                park.src,
-                PageId(p),
-                park.tag,
-                gseq,
-                &park.diff,
-                park.prev,
-                park.upto,
-                park.base,
-                t,
-            );
-            match ok {
-                Ok(()) => {
-                    held.remove(&gseq);
-                }
-                Err(Refusal::Stale) => {
+            let push = held.get(&gseq).expect("just peeked");
+            match Self::try_apply(core, &mut self.word_ver, n, gseq, push, t) {
+                Ok(()) | Err(Refusal::Stale) => {
                     held.remove(&gseq);
                 }
                 Err(Refusal::Early) => break,
@@ -222,6 +267,7 @@ impl Coherence for EagerUpdate {
             .map(|_| CopysetEntry::full(core.cfg.nodes))
             .collect();
         self.parked.clear();
+        self.word_ver.page_words = core.cfg.page_size / DIFF_WORD;
     }
 
     /// At interval close, extract and push the new diff of every dirtied
@@ -246,8 +292,8 @@ impl Coherence for EagerUpdate {
             // version among the exact words it writes (a lock-protected
             // read-modify-write chains through here). Computed before the
             // diff's own words are recorded at its own close sequence.
-            let base = core.ctl[n].word_base(p, &entry.2);
-            core.ctl[n].note_words(p, &entry.2, entry.1);
+            let base = self.word_ver.base(n, &entry.2);
+            self.word_ver.note(n, &entry.2, entry.1);
             for target in self.copysets[p].push_targets(n) {
                 if self.copysets[p].record_push(target) {
                     // Too many unused updates: drop the member. The
@@ -312,21 +358,19 @@ impl Coherence for EagerUpdate {
                 base,
             } => {
                 let p = page.0;
-                let (tag, gseq, d) = diff;
-                match Self::try_apply(core, n, src, page, tag, gseq, &d, prev, upto, base, t) {
+                let (tag, gseq, diff) = diff;
+                let push = Push {
+                    src,
+                    tag,
+                    diff,
+                    prev,
+                    upto,
+                    base,
+                };
+                match Self::try_apply(core, &mut self.word_ver, n, gseq, &push, t) {
                     Ok(()) => self.drain_parked(core, n, p, t),
                     Err(Refusal::Early) => {
-                        self.parked.entry((n, p)).or_default().insert(
-                            gseq,
-                            ParkedPush {
-                                src,
-                                tag,
-                                diff: d,
-                                prev,
-                                upto,
-                                base,
-                            },
-                        );
+                        self.parked.entry((n, p)).or_default().insert(gseq, push);
                     }
                     Err(Refusal::Stale) => {}
                 }
@@ -337,7 +381,14 @@ impl Coherence for EagerUpdate {
                 // the next fault re-registers us in the copyset.
             }
             other => {
-                if let Some(p) = core.pull_message(n, src, other, t) {
+                if let Some(fetched) = core.pull_message(n, src, other, t) {
+                    let p = fetched.page;
+                    if fetched.base_replaced {
+                        self.word_ver.clear(n, p);
+                    }
+                    for (_, gseq, _, d) in &fetched.diffs {
+                        self.word_ver.note(n, d, *gseq);
+                    }
                     // The faulting node demonstrably uses the page:
                     // (re)join the copyset.
                     self.copysets[p].add(n);
@@ -348,5 +399,105 @@ impl Coherence for EagerUpdate {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::diff::DiffRun;
+    use cvm_sim::SimRng;
+
+    const PAGE_WORDS: usize = 64;
+
+    /// A diff of up to four ascending, disjoint runs; some empty, some
+    /// ending on the page's last word.
+    fn random_diff(rng: &mut SimRng, page: usize) -> Diff {
+        let mut runs = Vec::new();
+        let mut w = rng.below(24) as usize;
+        for _ in 0..rng.below(5) {
+            let len = 1 + rng.below(12) as usize;
+            if w + len > PAGE_WORDS {
+                break;
+            }
+            runs.push((w, len));
+            w += len + 1 + rng.below(16) as usize;
+        }
+        if rng.below(4) == 0 && w < PAGE_WORDS {
+            let len = 1 + rng.below((PAGE_WORDS - w) as u64) as usize;
+            runs.push((PAGE_WORDS - len, len));
+        }
+        Diff {
+            page: PageId(page),
+            runs: runs
+                .into_iter()
+                .map(|(w0, len)| DiffRun {
+                    offset: w0 * DIFF_WORD,
+                    data: vec![0xAB; len * DIFF_WORD],
+                })
+                .collect(),
+        }
+    }
+
+    /// The word-by-word table the dense one replaced.
+    #[derive(Default)]
+    struct Model(HashMap<(usize, usize, usize), u64>);
+
+    impl Model {
+        fn words(d: &Diff) -> impl Iterator<Item = usize> + '_ {
+            d.word_runs().flatten()
+        }
+        fn note(&mut self, n: usize, d: &Diff, gseq: u64) {
+            for w in Self::words(d) {
+                let e = self.0.entry((n, d.page.0, w)).or_insert(0);
+                *e = (*e).max(gseq);
+            }
+        }
+        fn base(&self, n: usize, d: &Diff) -> u64 {
+            Self::words(d)
+                .map(|w| self.0.get(&(n, d.page.0, w)).copied().unwrap_or(0))
+                .max()
+                .unwrap_or(0)
+        }
+        fn clear(&mut self, n: usize, page: usize) {
+            self.0.retain(|&(kn, kp, _), _| (kn, kp) != (n, page));
+        }
+    }
+
+    #[test]
+    fn dense_word_versions_match_the_word_by_word_model() {
+        let mut rng = SimRng::seed_from(0x3A6E);
+        let mut dense = WordVersions {
+            page_words: PAGE_WORDS,
+            ..Default::default()
+        };
+        let mut model = Model::default();
+        let (mut empty, mut last_word, mut nonzero) = (0, 0, 0);
+        for step in 0..2000u64 {
+            let (n, page) = (rng.below(3) as usize, rng.below(4) as usize);
+            let d = random_diff(&mut rng, page);
+            empty += u64::from(d.is_empty());
+            last_word += u64::from(d.word_runs().any(|r| r.end == PAGE_WORDS));
+            let want = model.base(n, &d);
+            assert_eq!(dense.base(n, &d), want, "step {step}: {d} on n{n}");
+            nonzero += u64::from(want > 0);
+            match rng.below(10) {
+                0 => {
+                    dense.clear(n, page);
+                    model.clear(n, page);
+                }
+                // Mostly rising, as close sequences are; sometimes an
+                // older diff lands late and must not lower a word.
+                _ => {
+                    let gseq = (step + 1).saturating_sub(rng.below(3) * rng.below(40));
+                    dense.note(n, &d, gseq);
+                    model.note(n, &d, gseq);
+                }
+            }
+        }
+        assert!(
+            empty > 50 && last_word > 200 && nonzero > 1000,
+            "{empty} {last_word} {nonzero}"
+        );
     }
 }

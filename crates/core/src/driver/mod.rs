@@ -41,6 +41,7 @@
 mod coherence;
 mod eager;
 mod home;
+mod hosttime;
 mod lazy;
 mod parallel;
 mod report;
@@ -51,6 +52,7 @@ mod tests;
 mod transport;
 
 pub use coherence::Coherence;
+pub use hosttime::{enable as enable_host_time, table as host_time_table};
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -85,6 +87,7 @@ use crate::trace::Trace;
 use coherence::PendingFetch;
 use eager::EagerUpdate;
 use home::HomeLazy;
+use hosttime::{HostTime, Seam};
 use lazy::LazyMultiWriter;
 
 /// Builder for a CVM system: allocate shared memory, then run an SPMD
@@ -156,8 +159,17 @@ impl CvmBuilder {
             .max(1)
             * self.cfg.page_size;
         self.cfg.validate();
-        let mut driver = Driver::new(self.cfg, Arc::new(app));
-        driver.run()
+        let host = HostTime::begin();
+        let t0 = host.start();
+        let mut driver = Driver::new(self.cfg, Arc::new(app), host);
+        driver.core.host.stop(Seam::DriverNew, t0);
+        let report = driver.run();
+        let mut host = std::mem::take(&mut driver.core.host);
+        let t0 = host.start();
+        drop(driver);
+        host.stop(Seam::Drop, t0);
+        host.publish();
+        report
     }
 }
 
@@ -206,13 +218,6 @@ struct NodeCtl {
     /// a causally later one (the network reorders across message sizes);
     /// the refused diff is recovered through the notice/refault path.
     applied_gseq: HashMap<usize, u64>,
-    /// Eager-update only: page → (word index → close gseq of the last
-    /// diff known to write that word — applied here, or our own). Lets a
-    /// writer compute a new diff's causal `base` from true word overlap
-    /// rather than the whole-page watermark, which would impose false
-    /// dependencies between word-disjoint concurrent diffs of
-    /// multi-writer pages.
-    word_ver: HashMap<usize, HashMap<usize, u64>>,
     out_faults: usize,
     out_locks: usize,
     /// Latest barrier-release epoch applied (filters stale duplicate
@@ -243,7 +248,6 @@ impl NodeCtl {
             diff_cache: HashMap::new(),
             page_close_gseq: HashMap::new(),
             applied_gseq: HashMap::new(),
-            word_ver: HashMap::new(),
             out_faults: 0,
             out_locks: 0,
             release_seen: 0,
@@ -259,28 +263,6 @@ impl NodeCtl {
 
     fn applied_ivl(&self, page: usize, writer: usize) -> u32 {
         self.applied_ivl.get(&(page, writer)).copied().unwrap_or(0)
-    }
-
-    /// Records that the words `d` writes now reflect the diff closed at
-    /// `gseq` (eager-update only).
-    fn note_words(&mut self, page: usize, d: &Diff, gseq: u64) {
-        let vers = self.word_ver.entry(page).or_default();
-        for w in d.words() {
-            let e = vers.entry(w).or_insert(0);
-            *e = (*e).max(gseq);
-        }
-    }
-
-    /// Highest close sequence among diffs known to write any word that
-    /// `d` also writes — the overlap causal base (eager-update only).
-    fn word_base(&self, page: usize, d: &Diff) -> u64 {
-        let Some(vers) = self.word_ver.get(&page) else {
-            return 0;
-        };
-        d.words()
-            .map(|w| vers.get(&w).copied().unwrap_or(0))
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -399,6 +381,8 @@ pub struct DriverCore {
     /// Occurrences of the configured injection's fault site seen so far
     /// (the injection corrupts occurrence `nth` only).
     inject_seen: u64,
+    /// Host-time ledger of this run's dispatch seams (`--host-time`).
+    host: HostTime,
 }
 
 /// Step-log capacity: far above any tiny-kernel run, bounded so a
@@ -435,7 +419,7 @@ fn make_protocol(kind: ProtocolKind) -> Box<dyn Coherence> {
 }
 
 impl Driver {
-    fn new(cfg: CvmConfig, app: AppFn) -> Self {
+    fn new(cfg: CvmConfig, app: AppFn, host: HostTime) -> Self {
         let nodes = cfg.nodes;
         let tpn = cfg.threads_per_node;
         let pages = cfg.pages();
@@ -585,6 +569,7 @@ impl Driver {
             oracle,
             steps,
             inject_seen: 0,
+            host,
         };
         Driver { core, proto }
     }
@@ -602,7 +587,10 @@ impl Driver {
         }
         loop {
             let limit = core.mainq.peek_time().unwrap_or(VirtualTime::MAX);
-            if let Some((t, msg)) = core.net.poll(limit) {
+            let t0 = core.host.start();
+            let polled = core.net.poll(limit);
+            core.host.stop(Seam::NetPoll, t0);
+            if let Some((t, msg)) = polled {
                 if core.spans.enabled() {
                     if let Some(info) = core.net.last_delivery() {
                         core.spans
@@ -612,10 +600,12 @@ impl Driver {
                 // Handlers run inside the delivered message's causal
                 // span: their own sends inherit it via send_remote.
                 let dst = msg.dst.0;
+                let t0 = core.host.start();
                 core.cur_span = msg.span;
                 core.handle_payload(&mut *proto, dst, msg.src.0, msg.payload, t);
                 core.cur_span = 0;
                 core.sample_twin_live(dst);
+                core.host.stop(Seam::Payload(msg.kind), t0);
                 continue;
             }
             // Every network event at or before the queue head is now
@@ -646,7 +636,9 @@ impl Driver {
             unfinished,
             core.threads.len()
         );
+        let t0 = core.host.start();
         let mut report = core.build_report();
+        core.host.stop(Seam::BuildReport, t0);
         // The timing and bandwidth stats honor the measurement window (an
         // `end_measured` snapshot excludes teardown traffic), but the
         // reliability ledger is an accounting of the whole run: a snapshot

@@ -13,6 +13,7 @@ use crate::ctx::BlockReason;
 use crate::sched::WaitClass;
 use crate::trace::TraceEvent;
 
+use super::hosttime::Seam;
 use super::{Coherence, DriverCore, MainEvent};
 
 impl DriverCore {
@@ -124,6 +125,7 @@ impl DriverCore {
             }
         }
         self.ctl[n].sched.last_ran = Some(tid);
+        let t0 = self.host.start();
         let burst = match prestarted {
             // The burst already ran on the host; collecting it here gives
             // the same result `resume` would have produced sequentially.
@@ -133,6 +135,7 @@ impl DriverCore {
             }
             None => self.coop.resume(self.threads[tid].coop),
         };
+        self.host.stop(Seam::Resume, t0);
         let consumed = SimDuration::from_ns(self.cell(n).drain_burst());
         self.burst_total_ns += consumed.as_ns();
         if prestarted.is_some() {
@@ -150,7 +153,11 @@ impl DriverCore {
                 self.ctl[n].sched.finished += 1;
                 self.finished_total += 1;
             }
-            Burst::Blocked(reason) => self.handle_reason(proto, n, tid, reason),
+            Burst::Blocked(reason) => {
+                let (t0, seam) = (self.host.start(), Seam::reason(&reason));
+                self.handle_reason(proto, n, tid, reason);
+                self.host.stop(seam, t0);
+            }
         }
         if self.ctl[n].sched.has_ready() {
             let at = self.ctl[n].sched.clock;

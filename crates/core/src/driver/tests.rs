@@ -191,3 +191,38 @@ fn all_protocols_complete_smoke_workload() {
         assert_eq!(report.stats.barriers_crossed, 1, "under {kind}");
     }
 }
+
+/// The layering promise of this module's header and DESIGN §3a: the
+/// protocol kind selects behaviour at one point, `make_protocol`, and the
+/// configured kind is read once, to call it. Checked on the source text of
+/// every file of this directory but this one.
+#[test]
+fn protocol_kind_is_consulted_only_by_make_protocol() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/driver");
+    let mut seen_make_protocol = false;
+    for entry in std::fs::read_dir(&dir).expect("driver sources") {
+        let path = entry.expect("dir entry").path();
+        if path.file_name().is_some_and(|n| n == "tests.rs") {
+            continue;
+        }
+        let mut text = std::fs::read_to_string(&path).expect("source is text");
+        if let Some(start) = text.find("\nfn make_protocol(") {
+            let len = text[start..].find("\n}\n").expect("make_protocol ends");
+            text.replace_range(start..start + len, "");
+            seen_make_protocol = true;
+        }
+        for (idx, line) in text.lines().enumerate() {
+            let code = line.trim_start();
+            if code.starts_with("//") {
+                continue;
+            }
+            let at = format!("{}:{}: {code}", path.display(), idx + 1);
+            assert!(!code.contains("ProtocolKind::"), "{at}");
+            assert!(
+                !code.contains(".protocol") || code.contains("make_protocol(cfg.protocol)"),
+                "{at}"
+            );
+        }
+    }
+    assert!(seen_make_protocol, "make_protocol moved; update this check");
+}

@@ -294,17 +294,35 @@ fn run_tables(cmd: &str, argv: &[String]) -> Result<(), CliError> {
 }
 
 /// Runs subcommand `cmd` over its arguments.
+///
+/// `--host-time` is the one flag read here and not by a subcommand's
+/// parser: it is about the process, not about any campaign's
+/// configuration. The five subcommands that run the driver take it, and
+/// the seam table goes to stderr once the campaign is over, whether or not
+/// it succeeded.
 pub fn dispatch(cmd: &str, argv: &[String]) -> Result<(), CliError> {
-    match cmd {
-        "run" => run_cli::run(run_cli::parse(argv)?),
-        "bench" => bench_cli::run(bench_cli::parse(argv)?),
-        "sweep" => sweep_cli::run_sweep(sweep_cli::parse_sweep(argv)?),
-        "faults" => sweep_cli::run_faults(sweep_cli::parse_faults(argv)?),
-        "serve" => serve_cli::run(serve_cli::parse(argv)?),
-        "check" => check_cli::run(check_cli::parse(argv)?),
-        "explain" => explain::run(explain::parse(argv)?),
-        _ => run_tables(cmd, argv),
+    const HOST_TIME: &str = "--host-time";
+    let drives = matches!(cmd, "run" | "sweep" | "faults" | "serve" | "check");
+    let mut argv = argv.to_vec();
+    if drives && argv.iter().any(|a| a == HOST_TIME) {
+        argv.retain(|a| a != HOST_TIME);
+        cvm_dsm::enable_host_time();
     }
+    let argv = &argv[..];
+    let result = match cmd {
+        "run" => run_cli::parse(argv).and_then(run_cli::run),
+        "bench" => bench_cli::parse(argv).and_then(bench_cli::run),
+        "sweep" => sweep_cli::parse_sweep(argv).and_then(sweep_cli::run_sweep),
+        "faults" => sweep_cli::parse_faults(argv).and_then(sweep_cli::run_faults),
+        "serve" => serve_cli::parse(argv).and_then(serve_cli::run),
+        "check" => check_cli::parse(argv).and_then(check_cli::run),
+        "explain" => explain::parse(argv).and_then(explain::run),
+        _ => run_tables(cmd, argv),
+    };
+    if let Some(table) = cvm_dsm::host_time_table() {
+        eprint!("{table}");
+    }
+    result
 }
 
 /// Entry point of the `cvm` binary: parses `std::env::args`, dispatches,

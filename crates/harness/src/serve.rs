@@ -128,7 +128,6 @@ pub struct ServeReport {
 fn run_cell(sc: &ServeScenario, shards: usize, idx: usize, rate: f64) -> ServeCell {
     let mut kv_cfg = sc.kv;
     kv_cfg.rate_rps = rate;
-    kv_cfg.validate();
     let seed = workq::seed_split(sc.seed, idx as u64);
     let mut dsm = CvmConfig::paper(sc.nodes, sc.threads);
     dsm.seed = seed;

@@ -75,7 +75,8 @@ pub fn parse(argv: &[String]) -> Result<ServeCmd, CliError> {
         }
         Ok(())
     })?;
-    let mut scenario = load_scenario(&args, scenario_arg.unwrap_or("session"))?;
+    let scenario_arg = scenario_arg.unwrap_or("session");
+    let mut scenario = load_scenario(&args, scenario_arg)?;
     if let Some(r) = rate {
         scenario.kv.rate_rps = r;
     }
@@ -88,7 +89,11 @@ pub fn parse(argv: &[String]) -> Result<ServeCmd, CliError> {
     if let Some(s) = seed {
         scenario.seed = s;
     }
-    scenario.kv.validate();
+    // The deck was checked when it was read; this is for the overrides
+    // (`--rate inf` is a positive number).
+    scenario
+        .validate()
+        .map_err(|e| CliError::Failed(format!("{scenario_arg}: {e}")))?;
     let cfg = ServeConfig {
         scenario,
         workers,

@@ -17,7 +17,7 @@ pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
 
 impl<T> Mutex<T> {
     /// Creates a lock around `value`.
-    pub fn new(value: T) -> Self {
+    pub const fn new(value: T) -> Self {
         Mutex(std::sync::Mutex::new(value))
     }
 }
