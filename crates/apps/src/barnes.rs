@@ -8,6 +8,18 @@
 //! remote-fault traffic multi-threading hides), builds a *private* octree,
 //! computes forces for its owned bodies by θ-criterion traversal, and
 //! updates only its own partition — barrier-separated phases, no locks.
+//!
+//! The private state is host memory, one copy per application thread and
+//! all of them live at once, so its layout is what a 128 × 4 run costs:
+//! [`Octree`] owns the thread's one body buffer (32 bytes a body, filled
+//! in place from the shared arrays each step) and an arena of internal
+//! nodes only, 64 bytes each — eight `u32` child slots, centre of mass,
+//! mass. A slot is empty, a tagged index into the body buffer, or the
+//! index of a later node; an empty octant costs its 4 bytes, a body is
+//! never copied into the tree, and a node's half-width is carried down
+//! the walk instead of stored. 126 KiB a thread at 2048 bodies. The
+//! arithmetic is that of the boxed tree it replaces, bit for bit
+//! (`barnes/boxed_tree.rs`), so no virtual-time result depends on it.
 
 use cvm_dsm::{CvmBuilder, SharedVec, ThreadCtx};
 
@@ -61,53 +73,88 @@ impl BarnesConfig {
     }
 }
 
-/// A private octree node. An internal node's eight children sit side by
-/// side in the tree's arena, octant `k` at `first + k`.
+/// One body: position and mass.
+pub type Body = ([f64; 3], f64);
+
+/// A child slot with nothing in it. Tested before [`LEAF`]: it has that
+/// bit set too.
+const EMPTY: u32 = u32::MAX;
+/// Slot tag: the other 31 bits index the body buffer, not the arena.
+const LEAF: u32 = 1 << 31;
+/// Most bodies a tree takes: the index after the last would read as
+/// [`EMPTY`] once tagged.
+const MAX_BODIES: usize = (LEAF - 1) as usize;
+/// "Parent" of the root slot in [`Octree::slot`]: past any arena index.
+const NO_PARENT: usize = usize::MAX;
+
+/// An internal node of the private octree, 64 bytes: a cache line's worth
+/// (not aligned to one — an over-aligned arena cannot grow in place, which
+/// costs 512 threads 13 MiB of abandoned blocks). A child slot is
+/// [`EMPTY`], a [`LEAF`]-tagged index into the tree's body buffer, or the
+/// arena index of a later node. The half-width is not stored: `insert`
+/// and `force_walk` carry it down, halving once a level.
 #[derive(Debug, Clone, Copy)]
-enum Cell {
-    Empty,
-    Body {
-        pos: [f64; 3],
-        mass: f64,
-    },
-    Internal {
-        first: u32,
-        com: [f64; 3],
-        mass: f64,
-        half: f64,
-    },
+struct Node {
+    child: [u32; 8],
+    com: [f64; 3],
+    mass: f64,
 }
 
-/// A fully built private octree: every cell in one arena, the root at
-/// index 0, children always after their parent.
+/// A fully built private octree: the thread's one body buffer and, over
+/// it, an arena of internal nodes only — an empty octant costs its slot,
+/// a body is not copied into the tree. `root` is a slot like any child,
+/// so trees of zero or one body have no node.
 #[derive(Debug)]
 pub struct Octree {
-    cells: Vec<Cell>,
+    nodes: Vec<Node>,
+    bodies: Vec<Body>,
+    root: u32,
     center: [f64; 3],
     half: f64,
-    inserted: usize,
 }
 
 impl Octree {
     /// Builds the tree over the given bodies.
-    pub fn build(bodies: &[([f64; 3], f64)]) -> Octree {
+    pub fn build(bodies: &[Body]) -> Octree {
         let mut tree = Octree {
-            cells: Vec::new(),
+            nodes: Vec::new(),
+            bodies: Vec::new(),
+            root: EMPTY,
             center: [0.0; 3],
             half: 0.0,
-            inserted: 0,
         };
         tree.rebuild(bodies);
         tree
     }
 
-    /// Replaces the tree with one over `bodies`, reusing the arena: equal
-    /// to a fresh [`build`](Self::build), without returning the memory to
-    /// the allocator and faulting it in again.
-    pub fn rebuild(&mut self, bodies: &[([f64; 3], f64)]) {
+    /// Replaces the tree with one over `bodies`: equal to a fresh
+    /// [`build`](Self::build), reusing the buffer and the arena.
+    pub fn rebuild(&mut self, bodies: &[Body]) {
+        self.rebuild_with(bodies.len(), 0, |i| bodies[i]);
+    }
+
+    /// Replaces the tree with one over the `n` bodies `body(i)`, asked for
+    /// once each in the order `start, start + 1, …` wrapping at `n`, and
+    /// inserted in the order `0..n` whatever `start` is. Every entry of
+    /// the buffer is rewritten, so a mass merged into a coincident body by
+    /// the build before does not leak into this one.
+    ///
+    /// # Panics
+    /// If `start > n` or `n` exceeds the 2³¹ − 1 bodies a slot can name.
+    pub fn rebuild_with(&mut self, n: usize, start: usize, mut body: impl FnMut(usize) -> Body) {
+        assert!(
+            n <= MAX_BODIES,
+            "octree over {n} bodies: a leaf slot names at most 2^31 - 1"
+        );
+        assert!(start <= n, "first body {start} of {n}");
+        self.bodies.resize(n, ([0.0; 3], 0.0));
+        for i in (start..n).chain(0..start) {
+            self.bodies[i] = body(i);
+        }
+
         let mut lo = [f64::INFINITY; 3];
         let mut hi = [f64::NEG_INFINITY; 3];
-        for (p, _) in bodies {
+        for (p, _) in &self.bodies {
             for d in 0..3 {
                 lo[d] = lo[d].min(p[d]);
                 hi[d] = hi[d].max(p[d]);
@@ -118,23 +165,27 @@ impl Octree {
             self.center[d] = 0.5 * (lo[d] + hi[d]);
             self.half = self.half.max(0.5 * (hi[d] - lo[d]) + 1e-9);
         }
-        self.cells.clear();
-        self.cells.push(Cell::Empty);
-        for &(p, m) in bodies {
-            self.insert(p, m);
+        self.nodes.clear();
+        self.root = EMPTY;
+        for b in 0..n {
+            self.insert(b);
         }
-        self.inserted = bodies.len();
         self.summarize();
     }
 
     /// Number of bodies inserted.
     pub fn len(&self) -> usize {
-        self.inserted
+        self.bodies.len()
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.inserted == 0
+        self.bodies.is_empty()
+    }
+
+    /// Position of body `i` as the last (re)build was given it.
+    pub fn pos(&self, i: usize) -> [f64; 3] {
+        self.bodies[i].0
     }
 
     /// The child octant of a cell centred at `center` that holds `pos`,
@@ -153,67 +204,72 @@ impl Octree {
         (idx, ncenter)
     }
 
-    fn insert(&mut self, pos: [f64; 3], mass: f64) {
-        let (mut at, mut center, mut half, mut depth) = (0, self.center, self.half, 0);
+    /// Octant `k` of node `parent`, or the root slot for [`NO_PARENT`].
+    fn slot(&mut self, parent: usize, k: usize) -> &mut u32 {
+        match self.nodes.get_mut(parent) {
+            Some(node) => &mut node.child[k],
+            None => &mut self.root,
+        }
+    }
+
+    fn insert(&mut self, b: usize) {
+        let (pos, mass) = self.bodies[b];
+        let (mut parent, mut k) = (NO_PARENT, 0);
+        let (mut center, mut half, mut depth) = (self.center, self.half, 0);
         loop {
-            match self.cells[at] {
-                Cell::Empty => {
-                    self.cells[at] = Cell::Body { pos, mass };
+            let slot = self.slot(parent, k);
+            let at = *slot;
+            if at == EMPTY {
+                *slot = LEAF | b as u32; // b < MAX_BODIES
+                return;
+            }
+            if at & LEAF != 0 {
+                let resident = (at & !LEAF) as usize;
+                let (opos, omass) = self.bodies[resident];
+                if depth > 60 || pos == opos {
+                    // Coincident bodies: merge masses (keeps termination).
+                    self.bodies[resident].1 = omass + mass;
                     return;
                 }
-                Cell::Body {
-                    pos: opos,
-                    mass: omass,
-                } => {
-                    if depth > 60 || pos == opos {
-                        // Coincident bodies: merge masses (keeps termination).
-                        self.cells[at] = Cell::Body {
-                            pos: opos,
-                            mass: omass + mass,
-                        };
-                        return;
-                    }
-                    // Split: the resident body moves into its octant of
-                    // the eight fresh children, then the new one descends
-                    // from this cell again.
-                    let first = self.cells.len();
-                    self.cells.resize(first + 8, Cell::Empty);
-                    self.cells[at] = Cell::Internal {
-                        first: u32::try_from(first).expect("octree arena fits u32 indices"),
-                        com: [0.0; 3],
-                        mass: 0.0,
-                        half,
-                    };
-                    let (idx, _) = Self::octant(center, half / 2.0, opos);
-                    self.cells[first + idx] = Cell::Body {
-                        pos: opos,
-                        mass: omass,
-                    };
-                }
-                Cell::Internal { first, .. } => {
-                    let q = half / 2.0;
-                    let (idx, ncenter) = Self::octant(center, q, pos);
-                    (at, center, half, depth) = (first as usize + idx, ncenter, q, depth + 1);
-                }
+                // Split: the resident body moves into its octant of a
+                // fresh node, then the new one descends from this slot
+                // again.
+                let fresh = u32::try_from(self.nodes.len())
+                    .ok()
+                    .filter(|i| i & LEAF == 0)
+                    .expect("octree arena fits 31-bit indices");
+                let mut node = Node {
+                    child: [EMPTY; 8],
+                    com: [0.0; 3],
+                    mass: 0.0,
+                };
+                let (idx, _) = Self::octant(center, half / 2.0, opos);
+                node.child[idx] = at;
+                self.nodes.push(node);
+                *self.slot(parent, k) = fresh;
+            } else {
+                let q = half / 2.0;
+                let (idx, ncenter) = Self::octant(center, q, pos);
+                (parent, k, center, half, depth) = (at as usize, idx, ncenter, q, depth + 1);
             }
         }
     }
 
-    /// Fills in every internal node's mass and centre of mass. Children
-    /// follow their parent in the arena, so one backward pass sees each
-    /// node after all of its descendants.
+    /// Fills in every node's mass and centre of mass. A node's children
+    /// are later in the arena, so one backward pass sees each node after
+    /// all of its descendants.
     fn summarize(&mut self) {
-        for at in (0..self.cells.len()).rev() {
-            let Cell::Internal { first, half, .. } = self.cells[at] else {
-                continue;
-            };
+        for at in (0..self.nodes.len()).rev() {
             let mut m = 0.0;
             let mut c = [0.0; 3];
-            for ch in &self.cells[first as usize..first as usize + 8] {
-                let (cc, cm) = match *ch {
-                    Cell::Empty => ([0.0; 3], 0.0),
-                    Cell::Body { pos, mass } => (pos, mass),
-                    Cell::Internal { com, mass, .. } => (com, mass),
+            for ch in self.nodes[at].child {
+                let (cc, cm) = if ch == EMPTY {
+                    ([0.0; 3], 0.0)
+                } else if ch & LEAF != 0 {
+                    self.bodies[(ch & !LEAF) as usize]
+                } else {
+                    let node = &self.nodes[ch as usize];
+                    (node.com, node.mass)
                 };
                 m += cm;
                 for d in 0..3 {
@@ -225,12 +281,8 @@ impl Octree {
                     *d /= m;
                 }
             }
-            self.cells[at] = Cell::Internal {
-                first,
-                com: c,
-                mass: m,
-                half,
-            };
+            self.nodes[at].com = c;
+            self.nodes[at].mass = m;
         }
     }
 
@@ -239,52 +291,49 @@ impl Octree {
     pub fn force(&self, pos: [f64; 3], theta: f64) -> ([f64; 3], u64) {
         let mut acc = [0.0; 3];
         let mut count = 0;
-        self.force_walk(0, pos, theta, &mut acc, &mut count);
+        self.force_walk(self.root, self.half, pos, theta, &mut acc, &mut count);
         (acc, count)
     }
 
+    /// `half` is the half-width of the cell slot `at` covers.
     fn force_walk(
         &self,
-        at: usize,
+        at: u32,
+        half: f64,
         pos: [f64; 3],
         theta: f64,
         acc: &mut [f64; 3],
         count: &mut u64,
     ) {
         const EPS2: f64 = 1e-4;
-        match &self.cells[at] {
-            Cell::Empty => {}
-            Cell::Body { pos: p, mass: m } => {
-                let d = [p[0] - pos[0], p[1] - pos[1], p[2] - pos[2]];
-                let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + EPS2;
-                if r2 > EPS2 * 1.0001 || d != [0.0, 0.0, 0.0] {
-                    let inv = m / (r2 * r2.sqrt());
-                    for k in 0..3 {
-                        acc[k] += d[k] * inv;
-                    }
-                    *count += 1;
+        if at == EMPTY {
+            return;
+        }
+        if at & LEAF != 0 {
+            let (p, m) = self.bodies[(at & !LEAF) as usize];
+            let d = [p[0] - pos[0], p[1] - pos[1], p[2] - pos[2]];
+            let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + EPS2;
+            if r2 > EPS2 * 1.0001 || d != [0.0, 0.0, 0.0] {
+                let inv = m / (r2 * r2.sqrt());
+                for k in 0..3 {
+                    acc[k] += d[k] * inv;
                 }
+                *count += 1;
             }
-            Cell::Internal {
-                first,
-                com,
-                mass,
-                half: chalf,
-            } => {
-                let d = [com[0] - pos[0], com[1] - pos[1], com[2] - pos[2]];
-                let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + EPS2;
-                let size = 2.0 * chalf;
-                if size * size < theta * theta * r2 {
-                    let inv = mass / (r2 * r2.sqrt());
-                    for k in 0..3 {
-                        acc[k] += d[k] * inv;
-                    }
-                    *count += 1;
-                } else {
-                    let first = *first as usize;
-                    for ch in first..first + 8 {
-                        self.force_walk(ch, pos, theta, acc, count);
-                    }
+        } else {
+            let Node { child, com, mass } = &self.nodes[at as usize];
+            let d = [com[0] - pos[0], com[1] - pos[1], com[2] - pos[2]];
+            let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + EPS2;
+            let size = 2.0 * half;
+            if size * size < theta * theta * r2 {
+                let inv = mass / (r2 * r2.sqrt());
+                for k in 0..3 {
+                    acc[k] += d[k] * inv;
+                }
+                *count += 1;
+            } else {
+                for &ch in child {
+                    self.force_walk(ch, half / 2.0, pos, theta, acc, count);
                 }
             }
         }
@@ -338,9 +387,8 @@ fn run(ctx: &mut ThreadCtx<'_>, cfg: &BarnesConfig, a: &Arrays) {
 
     let (lo, hi) = chunk(ctx.global_id(), ctx.total_threads(), n);
 
-    // One body buffer and one tree arena for the whole run: a thread
-    // faults their memory in once, not once a step.
-    let mut bodies = vec![([0.0f64; 3], 0.0f64); n];
+    // One tree, and in it one body buffer and one arena, for the whole
+    // run: a thread faults their memory in once, not once a step.
     let mut tree = Octree::build(&[]);
     for _step in 0..cfg.steps {
         // Phase 1: read all bodies (the remote traffic) and build a
@@ -348,22 +396,20 @@ fn run(ctx: &mut ThreadCtx<'_>, cfg: &BarnesConfig, a: &Arrays) {
         // thread starts fetching at its own partition and wraps, so
         // co-located threads touch different pages at any instant and
         // their remote faults overlap instead of piling onto one page.
-        for k in 0..n {
-            let i = (lo + k) % n;
+        tree.rebuild_with(n, lo, |i| {
             let p = [
                 a.pos.read(ctx, 3 * i),
                 a.pos.read(ctx, 3 * i + 1),
                 a.pos.read(ctx, 3 * i + 2),
             ];
-            bodies[i] = (p, a.mass.read(ctx, i));
-        }
-        tree.rebuild(&bodies);
+            (p, a.mass.read(ctx, i))
+        });
         charge_flops(ctx, (n as u64) * 20); // tree construction
         ctx.barrier(); // position snapshot complete before anyone updates
 
         // Phase 2: forces + integration for owned bodies only.
         for i in lo..hi {
-            let (acc, inter) = tree.force(bodies[i].0, cfg.theta);
+            let (acc, inter) = tree.force(tree.pos(i), cfg.theta);
             charge_flops(ctx, inter * 30);
             for d in 0..3 {
                 let v = a.vel.read(ctx, 3 * i + d) + acc[d] * cfg.dt;

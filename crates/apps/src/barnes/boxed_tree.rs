@@ -1,10 +1,12 @@
-//! The boxed octree `barnes::Octree` was before it kept its cells in one
-//! arena — one `Box<[Cell; 8]>` per internal node, recursive insertion —
-//! kept as the reference the arena tree is compared with bit for bit.
+//! The boxed octree `barnes::Octree` was before it kept its nodes in one
+//! arena — one `Box<[Cell; 8]>` per internal node, bodies copied into
+//! their cells, recursive insertion — kept as the reference the arena
+//! tree is compared with bit for bit; and the tests of the arena's own
+//! layout (slots, the owned body buffer, reuse across rebuilds).
 
 use cvm_sim::SimRng;
 
-use super::{init_body, Octree};
+use super::{init_body, Node, Octree, EMPTY, LEAF, MAX_BODIES};
 
 /// A boxed octree node.
 #[derive(Debug, Clone)]
@@ -296,13 +298,125 @@ fn arena_matches_boxed_on_degenerate_inputs() {
     assert_eq!(exact, 3, "the close pair is one body after the merge");
 }
 
+/// Walks the tree from its root slot: every slot names a body of this
+/// build or a later node, and every node in the arena is reached exactly
+/// once — nothing stale hangs off the tree, nothing live is outside it.
+/// Returns the number of leaves.
+fn assert_well_formed(tree: &Octree, what: &str) -> usize {
+    let mut seen = vec![false; tree.nodes.len()];
+    let mut leaves = 0;
+    let mut todo = vec![(tree.root, None)];
+    while let Some((slot, parent)) = todo.pop() {
+        if slot == EMPTY {
+        } else if slot & LEAF != 0 {
+            assert!(((slot & !LEAF) as usize) < tree.len(), "{what}: stale leaf");
+            leaves += 1;
+        } else {
+            let at = slot as usize;
+            assert!(at < tree.nodes.len(), "{what}: stale node {at}");
+            assert!(parent < Some(at), "{what}: node {at} before its parent");
+            assert!(
+                !std::mem::replace(&mut seen[at], true),
+                "{what}: {at} twice"
+            );
+            todo.extend(tree.nodes[at].child.map(|ch| (ch, Some(at))));
+        }
+    }
+    assert!(seen.iter().all(|&s| s), "{what}: unreachable node");
+    leaves
+}
+
+/// Same slots, same buffer, same sums, bit for bit (`f64`'s `Debug` form
+/// round-trips, and tells `-0.0` from `0.0`).
+fn assert_identical(a: &Octree, b: &Octree, what: &str) {
+    assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}");
+}
+
+#[test]
+fn a_node_is_64_bytes() {
+    assert_eq!(std::mem::size_of::<Node>(), 64);
+}
+
 #[test]
 fn rebuild_after_a_larger_tree_equals_a_fresh_build() {
     let mut rng = SimRng::seed_from(0x4EB);
     let mut tree = Octree::build(&cloud(&mut rng, 700));
-    for n in [120, 0, 1, 400] {
+    for n in [10, 120, 0, 1, 400] {
         let bodies = cloud(&mut rng, n);
         tree.rebuild(&bodies);
-        assert_same(&tree, &bodies, &PROBES, &format!("rebuilt over {n}"));
+        let what = format!("rebuilt over {n}");
+        assert_same(&tree, &bodies, &PROBES, &what);
+        assert_identical(&tree, &Octree::build(&bodies), &what);
+        assert_eq!(assert_well_formed(&tree, &what), n);
+        assert_eq!(tree.nodes.is_empty(), n < 2, "{what}: 0 or 1 body, no node");
     }
+}
+
+/// Coincident bodies, and a pair that merges at `depth > 60`.
+fn merging_bodies() -> Bodies {
+    let mut bodies = cloud(&mut SimRng::seed_from(0x3E6), 60);
+    for k in 0..8 {
+        bodies.push((bodies[3 * k].0, 0.25 + k as f64));
+    }
+    bodies.push(([1e-300, 1e-300, 1e-300], 1.0));
+    bodies.push(([2e-300, 1e-300, 1e-300], 2.0));
+    bodies
+}
+
+#[test]
+fn filling_the_owned_buffer_in_any_rotation_equals_build() {
+    let mut rng = SimRng::seed_from(0x1F1);
+    let mut inputs: Vec<Bodies> = [1, 2, 77, 512].map(|n| cloud(&mut rng, n)).into();
+    inputs.push(merging_bodies());
+    let mut tree = Octree::build(&cloud(&mut rng, 300));
+    for bodies in &inputs {
+        let n = bodies.len();
+        let fresh = Octree::build(bodies);
+        for start in [0, n / 3, n - 1, n] {
+            let mut asked = Vec::new();
+            tree.rebuild_with(n, start, |i| {
+                asked.push(i);
+                bodies[i]
+            });
+            let what = format!("{n} bodies filled from {start}");
+            let rotated: Vec<usize> = (0..n).map(|k| (start + k) % n).collect();
+            assert_eq!(asked, rotated, "{what}: fill order");
+            assert_identical(&tree, &fresh, &what);
+            assert_same(&tree, bodies, &PROBES, &what);
+            for (i, b) in bodies.iter().enumerate() {
+                assert_eq!(tree.pos(i), b.0, "{what}: pos({i})");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_merged_mass_does_not_survive_into_the_next_build() {
+    let bodies = merging_bodies();
+    let n = bodies.len();
+    let mut tree = Octree::build(&bodies);
+    // The merge is in the buffer: the resident body carries both masses.
+    assert_eq!(tree.bodies[0].1, bodies[0].1 + 0.25);
+    assert_eq!(tree.bodies[n - 2].1, 3.0, "the depth > 60 pair");
+    assert_eq!(assert_well_formed(&tree, "merged"), n - 9);
+    for step in 0..3 {
+        tree.rebuild_with(n, step * 7, |i| bodies[i]);
+        let what = format!("rebuild {step} over merging bodies");
+        assert_identical(&tree, &Octree::build(&bodies), &what);
+        assert_same(&tree, &bodies, &PROBES, &what);
+    }
+}
+
+#[test]
+#[should_panic(expected = "a leaf slot names at most 2^31 - 1")]
+fn one_body_more_than_a_slot_can_name_is_refused() {
+    // Refused before anything is allocated or asked for.
+    Octree::build(&[]).rebuild_with(MAX_BODIES + 1, 0, |_| unreachable!());
+}
+
+#[test]
+fn the_last_nameable_body_is_not_the_empty_slot() {
+    let last = u32::try_from(MAX_BODIES - 1).unwrap();
+    assert_ne!(LEAF | last, EMPTY);
+    assert_eq!(LEAF | (last + 1), EMPTY);
 }

@@ -46,6 +46,7 @@ mod lazy;
 mod parallel;
 mod report;
 mod scheduler;
+mod start;
 mod sync;
 #[cfg(test)]
 mod tests;
@@ -53,6 +54,7 @@ mod transport;
 
 pub use coherence::Coherence;
 pub use hosttime::{enable as enable_host_time, table as host_time_table};
+pub use start::StartError;
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -147,10 +149,30 @@ impl CvmBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if an application thread panics, or on protocol deadlock
+    /// Panics if an application thread panics, on protocol deadlock
     /// (threads blocked with no pending events — an application
-    /// synchronization bug).
-    pub fn run<F>(mut self, app: F) -> RunReport
+    /// synchronization bug), or with the [`StartError`] of
+    /// [`try_run`](Self::try_run).
+    pub fn run<F>(self, app: F) -> RunReport
+    where
+        F: Fn(&mut ThreadCtx<'_>) + Send + Sync + 'static,
+    {
+        self.try_run(app).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`run`](Self::run) for a caller that chose the system's size from
+    /// outside input: a host that cannot hold one OS thread per
+    /// application thread is an error here, with every thread it did
+    /// start already shut down.
+    ///
+    /// # Errors
+    ///
+    /// Returns which thread the host refused, and why.
+    ///
+    /// # Panics
+    ///
+    /// As [`run`](Self::run), except for the refused thread.
+    pub fn try_run<F>(mut self, app: F) -> Result<RunReport, StartError>
     where
         F: Fn(&mut ThreadCtx<'_>) + Send + Sync + 'static,
     {
@@ -161,7 +183,7 @@ impl CvmBuilder {
         self.cfg.validate();
         let host = HostTime::begin();
         let t0 = host.start();
-        let mut driver = Driver::new(self.cfg, Arc::new(app), host);
+        let mut driver = Driver::new(self.cfg, Arc::new(app), host)?;
         driver.core.host.stop(Seam::DriverNew, t0);
         let report = driver.run();
         let mut host = std::mem::take(&mut driver.core.host);
@@ -169,7 +191,7 @@ impl CvmBuilder {
         drop(driver);
         host.stop(Seam::Drop, t0);
         host.publish();
-        report
+        Ok(report)
     }
 }
 
@@ -419,7 +441,9 @@ fn make_protocol(kind: ProtocolKind) -> Box<dyn Coherence> {
 }
 
 impl Driver {
-    fn new(cfg: CvmConfig, app: AppFn, host: HostTime) -> Self {
+    /// On a refused thread, returns with the threads spawned so far
+    /// joined (`coop` is dropped) and nothing else left behind.
+    fn new(cfg: CvmConfig, app: AppFn, host: HostTime) -> Result<Self, StartError> {
         let nodes = cfg.nodes;
         let tpn = cfg.threads_per_node;
         let pages = cfg.pages();
@@ -459,12 +483,17 @@ impl Driver {
                 let trng = rng.derive(gid as u64);
                 // The closure owns the `Arc`; the context borrows the cell
                 // from it and holds it locked while the thread runs.
-                let coop_id = coop.spawn(move |y: &Yielder<BlockReason>| {
+                let spawned = coop.try_spawn(move |y: &Yielder<BlockReason>| {
                     let mut ctx =
                         ThreadCtx::new(y, &cell, costs, gid, node, local, nodes, tpn, trng);
                     app(&mut ctx);
                     ctx.flush_burst();
                 });
+                let coop_id = spawned.map_err(|source| StartError {
+                    started: gid,
+                    wanted: nodes * tpn,
+                    source,
+                })?;
                 threads.push(ThreadInfo {
                     node,
                     coop: coop_id,
@@ -571,7 +600,7 @@ impl Driver {
             inject_seen: 0,
             host,
         };
-        Driver { core, proto }
+        Ok(Driver { core, proto })
     }
 
     fn run(&mut self) -> RunReport {

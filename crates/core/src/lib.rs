@@ -75,7 +75,7 @@ pub use config::CvmConfig;
 pub use ctx::{ReduceOp, ThreadCtx};
 pub use cvm_net::{FaultPlan, LatencyModel, PLAN_CATALOG};
 pub use diff::Diff;
-pub use driver::{enable_host_time, host_time_table, Coherence, CvmBuilder};
+pub use driver::{enable_host_time, host_time_table, Coherence, CvmBuilder, StartError};
 pub use export::{chrome_trace, chrome_trace_with_spans};
 pub use hist::{hist_json, DsmHistograms};
 pub use interval::VectorTime;

@@ -108,7 +108,11 @@ pub fn run(cmd: RunCmd) -> Result<(), CliError> {
         "[cvm] running {app} P={nodes} T={threads} protocol={} shards={}",
         spec.protocol, spec.shards
     );
-    let report = b.run(body);
+    // The system's size comes straight off the command line: a host that
+    // cannot hold it is a message, not a panic.
+    let report = b
+        .try_run(body)
+        .map_err(|e| CliError::Failed(format!("{e} (lower --nodes or --threads)")))?;
     println!("{report}");
     println!(
         "twins {} | local-lock acquires {} handoffs {} | barriers {} local {} reduces {}",

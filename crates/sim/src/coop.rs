@@ -54,6 +54,7 @@
 //! ```
 
 use std::fmt;
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -235,7 +236,34 @@ impl<R: Send + 'static> CoopScheduler<R> {
 
     /// Spawns a new cooperative thread running `f`. The thread does not
     /// execute until its first [`resume`](Self::resume) / [`start`](Self::start).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the OS refuses the thread; [`try_spawn`](Self::try_spawn)
+    /// returns that as an error.
     pub fn spawn<F>(&mut self, f: F) -> CoopThreadId
+    where
+        F: FnOnce(&Yielder<R>) + Send + 'static,
+    {
+        self.try_spawn(f).expect("spawn coop thread")
+    }
+
+    /// [`spawn`](Self::spawn), but an OS thread that cannot be had (thread
+    /// or mapping limit, no memory for the stack) is an error and not a
+    /// panic. `f` is dropped, and the scheduler is as it was: the threads
+    /// spawned before can run on, or be shut down by dropping it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of `std::thread::Builder::spawn`.
+    pub fn try_spawn<F>(&mut self, f: F) -> io::Result<CoopThreadId>
+    where
+        F: FnOnce(&Yielder<R>) + Send + 'static,
+    {
+        self.spawn_on(thread::Builder::new(), f)
+    }
+
+    fn spawn_on<F>(&mut self, builder: thread::Builder, f: F) -> io::Result<CoopThreadId>
     where
         F: FnOnce(&Yielder<R>) + Send + 'static,
     {
@@ -249,7 +277,7 @@ impl<R: Send + 'static> CoopScheduler<R> {
         let yielder = Yielder {
             shared: Arc::clone(&shared),
         };
-        let join = thread::Builder::new()
+        let join = builder
             .name(format!("coop-{}", self.threads.len()))
             .spawn(move || {
                 if !yielder.shared.await_go() {
@@ -263,8 +291,7 @@ impl<R: Send + 'static> CoopScheduler<R> {
                     // Re-raised on the driver side by `wait`.
                     Err(payload) => yielder.shared.post(Err(panic_message(payload.as_ref()))),
                 }
-            })
-            .expect("spawn coop thread");
+            })?;
         let id = CoopThreadId(self.threads.len());
         self.threads.push(ThreadSlot {
             shared,
@@ -272,7 +299,7 @@ impl<R: Send + 'static> CoopScheduler<R> {
             finished: false,
             running: false,
         });
-        id
+        Ok(id)
     }
 
     /// Number of threads ever spawned.
@@ -508,6 +535,36 @@ mod tests {
         });
         s.resume(t);
         drop(s); // must not hang or leak the OS thread
+    }
+
+    #[test]
+    fn refused_thread_is_an_error_and_the_earlier_ones_are_joined() {
+        // Each body holds a clone of the token for as long as its OS
+        // thread (or its never-run closure) is alive.
+        let token = Arc::new(());
+        let body = |token: &Arc<()>| {
+            let held = Arc::clone(token);
+            move |y: &Yielder<u8>| {
+                let _held = held;
+                y.block(1);
+            }
+        };
+        let mut s: CoopScheduler<u8> = CoopScheduler::new();
+        let tids: Vec<_> = (0..3).map(|_| s.spawn(body(&token))).collect();
+        assert_eq!(s.resume(tids[1]), Burst::Blocked(1));
+        // No address space has room for this stack.
+        let no_stack = thread::Builder::new().stack_size(isize::MAX as usize);
+        let refused = s.spawn_on(no_stack, body(&token));
+        assert!(refused.is_err(), "got {refused:?}");
+        assert_eq!(s.len(), 3, "the refused thread left no slot");
+        assert_eq!(Arc::strong_count(&token), 4, "its body was dropped");
+        // The scheduler is as it was: parked, started and new threads run.
+        assert_eq!(s.resume(tids[0]), Burst::Blocked(1));
+        assert_eq!(s.resume(tids[1]), Burst::Finished);
+        let late = s.try_spawn(body(&token)).expect("an ordinary thread");
+        assert_eq!(s.resume(late), Burst::Blocked(1));
+        drop(s);
+        assert_eq!(Arc::strong_count(&token), 1, "every thread was joined");
     }
 
     #[test]
