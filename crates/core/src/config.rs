@@ -122,13 +122,6 @@ pub struct CvmConfig {
     /// the terminal protocol state — the observation channel the DPOR
     /// explorer's independence relation and duplicate detection consume.
     pub record_steps: bool,
-    /// Shards of the parallel event core: nodes are partitioned across
-    /// this many shards, and the driver overlaps application bursts of
-    /// different shards inside conservative lookahead windows bounded by
-    /// the latency model's floor. `1` (the default) is the classic
-    /// sequential loop; any value produces **byte-identical reports** —
-    /// sharding changes wall-clock time only, never simulated behaviour.
-    pub shards: usize,
 }
 
 impl CvmConfig {
@@ -171,7 +164,6 @@ impl CvmConfig {
             verify_sink: FindingSink::new(),
             inject: None,
             record_steps: false,
-            shards: 1,
         }
     }
 
@@ -214,7 +206,6 @@ impl CvmConfig {
             self.segment_size.is_multiple_of(self.page_size),
             "segment must be page aligned"
         );
-        assert!(self.shards > 0, "shard count must be positive");
     }
 }
 

@@ -371,8 +371,7 @@ impl<'a> ThreadCtx<'a> {
     /// This is a blocking operation (control passes through the driver so
     /// the accumulated burst is charged first and the answer reflects all
     /// work done so far), which keeps reports byte-identical at any
-    /// `--workers`/`--shards` count: the clock is never observed
-    /// mid-burst.
+    /// `--workers` count: the clock is never observed mid-burst.
     pub fn now_ns(&mut self) -> u64 {
         self.block(BlockReason::Now);
         self.held().now_ns

@@ -43,7 +43,6 @@ mod eager;
 mod home;
 mod hosttime;
 mod lazy;
-mod parallel;
 mod report;
 mod scheduler;
 mod start;
@@ -62,7 +61,7 @@ use std::sync::Arc;
 use cvm_net::NetworkSim;
 use cvm_sim::coop::{CoopScheduler, CoopThreadId, Yielder};
 use cvm_sim::sync::{Mutex, MutexGuard};
-use cvm_sim::{Fnv64, ShardMap, ShardedEventQueue, SimDuration, SimRng, StepLog, VirtualTime};
+use cvm_sim::{EventQueue, Fnv64, SimRng, StepLog, VirtualTime};
 
 use cvm_memsim::MemSystem;
 
@@ -201,9 +200,7 @@ enum MainEvent {
     /// The node should schedule its next ready thread.
     NodeResume(usize),
     /// A thread's `sleep_until` deadline arrived: make `(node, tid)`
-    /// ready again. Keyed by the node, so it shares the node's event
-    /// shard and the window planner's shard-head check naturally refuses
-    /// to pre-start bursts past a pending wake.
+    /// ready again.
     ThreadWake(usize, usize),
 }
 
@@ -310,35 +307,7 @@ pub struct DriverCore {
     threads: Vec<ThreadInfo>,
     coop: CoopScheduler<BlockReason>,
     net: NetworkSim<Payload>,
-    mainq: ShardedEventQueue<MainEvent>,
-    /// Conservative lookahead floor of the latency model (cached): no
-    /// message sent at `t` can affect its destination before
-    /// `t + lookahead`.
-    lookahead: SimDuration,
-    /// Per shard: a burst the window planner pre-started, `(node, tid)`,
-    /// awaiting consumption by that node's next `NodeResume`.
-    planned: Vec<Option<(usize, usize)>>,
-    /// Number of pre-started bursts currently in flight.
-    planned_n: usize,
-    /// Scratch for the planner: per-node earliest pending delivery time.
-    floors: Vec<VirtualTime>,
-    /// Parallel burst pre-execution is active (`shards > 1` and no
-    /// replay/observation channel that pins the sequential loop).
-    par_enabled: bool,
-    /// Bursts the planner pre-started over the whole run (host-side
-    /// observability: varies with `--shards`, never enters the JSON).
-    planned_bursts: u64,
-    /// Total burst time consumed by every application burst, in ns
-    /// (host-side observability, same caveats as `planned_bursts`).
-    burst_total_ns: u64,
-    /// Burst time the planner took off the critical path: for each
-    /// lookahead window, `sum(bursts) - max(bursts)` — the host time a
-    /// machine with one core per shard would not have to serialize.
-    overlap_saved_ns: u64,
-    /// Current window's burst-time accumulators (sum, max), folded into
-    /// `overlap_saved_ns` when the last in-flight burst is collected.
-    win_sum_ns: u64,
-    win_max_ns: u64,
+    mainq: EventQueue<MainEvent>,
     /// Per node: `twin_bytes_live` as last observed at a sequential
     /// sample point (end of `run_node`, end of a handler). Caching the
     /// per-node values lets the cluster-wide sum be maintained in O(1)
@@ -538,17 +507,6 @@ impl Driver {
             nodes * tpn
         };
         let proto = make_protocol(cfg.protocol);
-        // A pick override (replay script, seeded perturbation), step recording,
-        // fault injection and the verifying oracle all observe or pin the
-        // precise sequential interleaving; the planner stands down for
-        // them even though its output would be identical.
-        let par_enabled = cfg.shards > 1
-            && cfg.pick.is_default()
-            && !cfg.record_steps
-            && !cfg.verify
-            && cfg.inject.is_none();
-        let shard_map = ShardMap::new(nodes, cfg.shards);
-        let lookahead = cfg.latency.lookahead();
         let core = DriverCore {
             cfg,
             cells,
@@ -556,17 +514,7 @@ impl Driver {
             threads,
             coop,
             net,
-            mainq: ShardedEventQueue::new(shard_map, tpn),
-            lookahead,
-            planned: vec![None; shard_map.shards()],
-            planned_n: 0,
-            floors: vec![VirtualTime::MAX; nodes],
-            par_enabled,
-            planned_bursts: 0,
-            burst_total_ns: 0,
-            overlap_saved_ns: 0,
-            win_sum_ns: 0,
-            win_max_ns: 0,
+            mainq: EventQueue::with_capacity(nodes * tpn),
             twin_live_seen: vec![0; nodes],
             twin_live_sum: 0,
             twin_global_peak: 0,
@@ -637,12 +585,6 @@ impl Driver {
                 core.host.stop(Seam::Payload(msg.kind), t0);
                 continue;
             }
-            // Every network event at or before the queue head is now
-            // delivered, so the delivery floors the planner consults are
-            // final for the upcoming window.
-            if core.par_enabled && core.planned_n == 0 {
-                core.plan_window();
-            }
             match core.mainq.pop() {
                 Some((t, MainEvent::NodeResume(n))) => core.run_node(&mut *proto, n, t),
                 Some((t, MainEvent::ThreadWake(n, tid))) => {
@@ -691,9 +633,8 @@ impl DriverCore {
     /// Node `n`'s cell — the driver's only way to it. A running thread
     /// holds its node's cell for the whole burst, so the driver may reach
     /// for it only between that node's bursts. `resume` returns with the
-    /// burst over; what could break the rule is a burst the window planner
-    /// pre-started, which by the planner's own argument the driver never
-    /// needs to look at before collecting it. Debug builds check that.
+    /// burst over, so the sequential loop keeps the rule by construction;
+    /// debug builds check it.
     pub(super) fn cell(&self, n: usize) -> MutexGuard<'_, NodeCell> {
         let tpn = self.cfg.threads_per_node;
         debug_assert!(
@@ -710,7 +651,7 @@ impl DriverCore {
     /// and advances the whole-run peak. Called at the two sequential
     /// points where a cell's twins can just have changed — the end of
     /// `run_node` and the end of a message handler — so the peak is a
-    /// property of the simulated execution, identical at any shard count.
+    /// property of the simulated execution.
     pub(super) fn sample_twin_live(&mut self, n: usize) {
         let live = self.cell(n).twin_bytes_live;
         let old = std::mem::replace(&mut self.twin_live_seen[n], live);

@@ -62,11 +62,6 @@ impl DriverCore {
             nodes,
             mem,
             mem_peaks,
-            planned_bursts: self.planned_bursts,
-            burst_total_ns: self.burst_total_ns,
-            // The final window may not have been retired by a later
-            // planning instant; fold it here.
-            overlap_saved_ns: self.overlap_saved_ns + (self.win_sum_ns - self.win_max_ns),
             hist: {
                 // Fold per-node request latencies into the run histograms.
                 // Node order + commutative bucket addition keeps the merge

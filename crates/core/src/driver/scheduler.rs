@@ -20,7 +20,7 @@ impl DriverCore {
     pub(super) fn schedule_resume(&mut self, n: usize, t: VirtualTime) {
         if !self.ctl[n].sched.resume_scheduled {
             self.ctl[n].sched.resume_scheduled = true;
-            self.mainq.push(t, n, MainEvent::NodeResume(n));
+            self.mainq.push(t, MainEvent::NodeResume(n));
         }
     }
 
@@ -71,13 +71,8 @@ impl DriverCore {
     }
 
     pub(super) fn run_node(&mut self, proto: &mut dyn Coherence, n: usize, t: VirtualTime) {
-        let prestarted = self.take_planned(n);
         self.ctl[n].sched.resume_scheduled = false;
         if !self.ctl[n].sched.has_ready() {
-            assert!(
-                prestarted.is_none(),
-                "pre-started burst on a node with an empty ready queue"
-            );
             return;
         }
         let clock0 = self.ctl[n].sched.clock.max(t);
@@ -126,22 +121,9 @@ impl DriverCore {
         }
         self.ctl[n].sched.last_ran = Some(tid);
         let t0 = self.host.start();
-        let burst = match prestarted {
-            // The burst already ran on the host; collecting it here gives
-            // the same result `resume` would have produced sequentially.
-            Some(ptid) => {
-                assert_eq!(ptid, tid, "window planner predicted a different pick");
-                self.coop.wait(self.threads[tid].coop)
-            }
-            None => self.coop.resume(self.threads[tid].coop),
-        };
+        let burst = self.coop.resume(self.threads[tid].coop);
         self.host.stop(Seam::Resume, t0);
         let consumed = SimDuration::from_ns(self.cell(n).drain_burst());
-        self.burst_total_ns += consumed.as_ns();
-        if prestarted.is_some() {
-            self.win_sum_ns += consumed.as_ns();
-            self.win_max_ns = self.win_max_ns.max(consumed.as_ns());
-        }
         self.ctl[n].sched.clock += consumed;
         self.ctl[n].breakdown.user += consumed;
         if self.steps.is_some() {
@@ -247,7 +229,7 @@ impl DriverCore {
             BlockReason::SleepUntil { ns } => {
                 let at = self.ctl[n].sched.clock.max(VirtualTime::from_ns(ns));
                 self.ctl[n].sched.sleeping += 1;
-                self.mainq.push(at, n, MainEvent::ThreadWake(n, tid));
+                self.mainq.push(at, MainEvent::ThreadWake(n, tid));
             }
         }
     }

@@ -9,7 +9,7 @@
 //! specific protocol.
 
 use cvm_net::NetworkSim;
-use cvm_sim::{ShardMap, ShardedEventQueue, SimRng, VirtualTime};
+use cvm_sim::{EventQueue, SimRng, VirtualTime};
 
 use cvm_memsim::MemSystem;
 
@@ -304,10 +304,6 @@ impl DriverCore {
             return;
         }
         self.endm_arrived = 0;
-        debug_assert_eq!(
-            self.planned_n, 0,
-            "end-measure rendezvous with bursts in flight"
-        );
         self.snapshot = Some(self.snapshot_report());
         // Wake everyone; the rendezvous acts as a barrier without cost.
         for tid in 0..self.threads.len() {
@@ -415,13 +411,6 @@ impl DriverCore {
     /// the paper's "global data is consistent across all nodes until
     /// startup has finished".
     fn startup_reset(&mut self, proto: &mut dyn Coherence) {
-        // The rendezvous fires only when every thread has arrived, i.e.
-        // blocked — a pre-started burst is a thread that has not blocked
-        // yet, so none can be in flight while we tear the queues down.
-        assert_eq!(
-            self.planned_n, 0,
-            "startup rendezvous with bursts in flight"
-        );
         self.oracle.check(
             Invariant::QuiescentStartup,
             self.net.in_flight() == 0,
@@ -472,13 +461,6 @@ impl DriverCore {
         }
         self.cache_live_sum = self.ctl.iter().map(|c| c.cache_bytes).sum();
         self.cache_global_peak = self.cache_live_sum;
-        // The burst/overlap ledger measures the same region as
-        // `total_time`: from `startup_done` on. The serial init burst
-        // would otherwise drown the modelled speedup in Amdahl's law.
-        self.burst_total_ns = 0;
-        self.overlap_saved_ns = 0;
-        self.win_sum_ns = 0;
-        self.win_max_ns = 0;
         self.stats.reset();
         self.trace.reset();
         self.hist.reset();
@@ -512,10 +494,7 @@ impl DriverCore {
             }
             self.net.set_faults(rng.derive(0xFA17), plan.clone());
         }
-        self.mainq = ShardedEventQueue::new(
-            ShardMap::new(self.cfg.nodes, self.cfg.shards),
-            self.cfg.threads_per_node,
-        );
+        self.mainq = EventQueue::with_capacity(self.cfg.nodes * self.cfg.threads_per_node);
         for n in 0..self.cfg.nodes {
             self.ctl[n].sched.resume_scheduled = false;
         }

@@ -13,14 +13,12 @@
 //!   call, or the thread body returning), so a resident access costs no
 //!   atomic operation. A parked thread holds nothing.
 //! * **The driver takes it between bursts** — in a handler, after
-//!   `resume`/`wait` returned, at report time — through
+//!   `resume` returned, at report time — through
 //!   `DriverCore::cell`, one short critical section at a time.
-//! * **Never both.** The baton of [`cvm_sim::coop`] orders the two. The
-//!   one way to overlap them is a burst the window planner pre-started
-//!   (`driver/parallel.rs`), and the planner's rule is that the driver
-//!   touches only *other* nodes' state until it collects that burst;
-//!   `DriverCore::cell` asserts it in debug builds. A driver that broke
-//!   the rule would not race, it would wait for the burst to end.
+//! * **Never both.** The baton of [`cvm_sim::coop`] orders the two:
+//!   `resume` returns with the burst over. `DriverCore::cell` asserts it
+//!   in debug builds. A driver that broke the rule would not race, it
+//!   would wait for the burst to end.
 
 use std::collections::BTreeSet;
 

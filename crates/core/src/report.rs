@@ -44,8 +44,7 @@ impl NodeBreakdown {
 /// footprint grows with scale — twin pages, cached diffs and messages
 /// parked in the network (retransmission copies, reorder holds). Peaks
 /// are measured over the *measured* region (startup reset re-arms them)
-/// and are a property of the simulated execution: byte-identical at any
-/// shard count.
+/// and are a property of the simulated execution.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemPeaks {
     /// Per node: peak live twin bytes.
@@ -113,20 +112,6 @@ pub struct RunReport {
     pub mem: MemMisses,
     /// Peak-memory high-water marks (always collected).
     pub mem_peaks: MemPeaks,
-    /// Bursts the window planner pre-executed. Host-side observability
-    /// only: the count varies with `--shards`, so it is deliberately
-    /// excluded from the JSON document and the Display rendering, both of
-    /// which are compared byte-for-byte across shard counts.
-    pub planned_bursts: u64,
-    /// Virtual time consumed by every application burst, in ns. Input to
-    /// the modelled burst speedup (`cvm bench --scale`); excluded from
-    /// the JSON/Display surfaces alongside `planned_bursts`.
-    pub burst_total_ns: u64,
-    /// Burst time the window planner overlapped: per window,
-    /// `sum(bursts) - max(bursts)` — what a host with one core per shard
-    /// keeps off the critical path. Varies with `--shards`; excluded from
-    /// the JSON/Display surfaces alongside `planned_bursts`.
-    pub overlap_saved_ns: u64,
     /// Latency and size distributions (always collected).
     pub hist: DsmHistograms,
     /// Per-page and per-lock attribution (always collected).
@@ -374,9 +359,6 @@ mod tests {
             ],
             mem: MemMisses::default(),
             mem_peaks: MemPeaks::default(),
-            planned_bursts: 0,
-            burst_total_ns: 0,
-            overlap_saved_ns: 0,
             hist: DsmHistograms::default(),
             attr: ResourceAttr::default(),
             trace: None,
@@ -414,9 +396,6 @@ mod tests {
             ],
             mem: MemMisses::default(),
             mem_peaks: MemPeaks::default(),
-            planned_bursts: 0,
-            burst_total_ns: 0,
-            overlap_saved_ns: 0,
             hist: DsmHistograms::default(),
             attr: ResourceAttr::default(),
             trace: None,
@@ -444,9 +423,6 @@ mod tests {
             nodes: vec![NodeBreakdown::default()],
             mem: MemMisses::default(),
             mem_peaks: MemPeaks::default(),
-            planned_bursts: 0,
-            burst_total_ns: 0,
-            overlap_saved_ns: 0,
             hist: DsmHistograms::default(),
             attr: ResourceAttr::default(),
             trace: Some(Trace::new(16)),

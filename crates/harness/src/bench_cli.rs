@@ -1,5 +1,5 @@
 //! `cvm bench` — suite benchmarking, the regression gate, and the
-//! `--scale` ladder of the parallel event core.
+//! `--scale` node ladder.
 
 use crate::cli::{gate_against, load_json, write_artifact, Args, CliError};
 use crate::scale_bench::{self, ScaleConfig};
@@ -14,8 +14,6 @@ pub struct BenchCmd {
     pub nodes: Option<Vec<usize>>,
     /// `--threads`: threads per node (suite default 2, ladder default 4).
     pub threads: Option<usize>,
-    /// `--shards`: shard count of the ladder's parallel run.
-    pub shards: usize,
     /// Problem scale of the suite.
     pub scale: Scale,
     /// `--spans`: record span forests (a gate forces it on: the span
@@ -37,7 +35,6 @@ pub fn parse(argv: &[String]) -> Result<BenchCmd, CliError> {
         ladder: false,
         nodes: None,
         threads: None,
-        shards: scale_bench::DEFAULT_SHARDS,
         scale: Scale::Small,
         spans: false,
         json: false,
@@ -56,7 +53,6 @@ pub fn parse(argv: &[String]) -> Result<BenchCmd, CliError> {
             "--gate" => c.gate_pct = a.positive()?,
             "--nodes" => c.nodes = Some(a.list()?),
             "--threads" => c.threads = Some(a.positive()?),
-            "--shards" => c.shards = a.positive()?,
             "--paper-scale" => c.scale = Scale::Paper,
             _ => return Err(a.unknown()),
         }
@@ -67,6 +63,12 @@ pub fn parse(argv: &[String]) -> Result<BenchCmd, CliError> {
     }
     if !c.ladder && c.nodes.as_ref().is_some_and(|n| n.len() > 1) {
         return Err(args.usage("--nodes: a node ladder needs --scale"));
+    }
+    if c.ladder && c.scale == Scale::Paper {
+        return Err(args.usage("--paper-scale: the ladder always runs the tiny input"));
+    }
+    if c.ladder && c.spans {
+        return Err(args.usage("--spans: not recorded by --scale"));
     }
     c.spans |= c.baseline.is_some();
     Ok(c)
@@ -81,7 +83,6 @@ pub fn run(c: BenchCmd) -> Result<(), CliError> {
         let mut cfg = ScaleConfig::default();
         cfg.nodes = c.nodes.unwrap_or(cfg.nodes);
         cfg.threads = c.threads.unwrap_or(cfg.threads);
-        cfg.shards = c.shards;
         let rungs = scale_bench::run_ladder(&cfg);
         print!("{}", scale_bench::render_summary(&cfg, &rungs));
         let doc = scale_bench::to_json(&cfg, &rungs);

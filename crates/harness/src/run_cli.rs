@@ -48,7 +48,6 @@ pub fn parse(argv: &[String]) -> Result<RunCmd, CliError> {
             "--verify" => verify = true,
             "--trace" => trace = a.value()?,
             "--spans" => spec.spans = true,
-            "--shards" => spec.shards = a.positive()?,
             "--json" => json = Some(a.value()?),
             "--chrome-trace" => chrome = Some(a.value()?),
             "--replay" => replay = Some(a.value()?),
@@ -105,8 +104,8 @@ pub fn run(cmd: RunCmd) -> Result<(), CliError> {
     let mut b = CvmBuilder::new(cfg);
     let body = build_app(&mut b, app, spec.scale);
     eprintln!(
-        "[cvm] running {app} P={nodes} T={threads} protocol={} shards={}",
-        spec.protocol, spec.shards
+        "[cvm] running {app} P={nodes} T={threads} protocol={}",
+        spec.protocol
     );
     // The system's size comes straight off the command line: a host that
     // cannot hold it is a message, not a panic.
@@ -127,14 +126,6 @@ pub fn run(cmd: RunCmd) -> Result<(), CliError> {
         println!(
             "pushes {} | copies dropped {}",
             report.stats.updates_pushed, report.stats.copies_dropped
-        );
-    }
-    if spec.shards > 1 {
-        // Host-side planner observability; deliberately on stderr so
-        // stdout stays byte-identical to the sequential run.
-        eprintln!(
-            "[cvm] planner pre-executed {} bursts (overlap saved {} ns of {} ns burst time)",
-            report.planned_bursts, report.overlap_saved_ns, report.burst_total_ns
         );
     }
     if let Some(t) = &report.trace {

@@ -29,9 +29,6 @@ pub struct RunSpec {
     pub prefer_local_locks: bool,
     /// Record the causal span forest (`cvm … --spans`).
     pub spans: bool,
-    /// Event-core shards (`--shards`); 1 is the sequential path. Any
-    /// value produces a byte-identical report.
-    pub shards: usize,
     /// Master seed.
     pub seed: u64,
 }
@@ -51,7 +48,6 @@ impl RunSpec {
             prefer_local_locks: true,
             jitter_us: 0,
             spans: false,
-            shards: 1,
             seed: 0x5EED_CAFE,
         }
     }
@@ -67,6 +63,12 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
+    /// The cell's progress line for [`crate::campaign::run`].
+    pub fn done_label(&self) -> String {
+        let s = &self.spec;
+        format!("{} P={} T={} done", s.app, s.nodes, s.threads)
+    }
+
     /// Total execution time in milliseconds.
     pub fn time_ms(&self) -> f64 {
         self.report.total_ms()
@@ -111,7 +113,6 @@ pub(crate) fn config_for(spec: &RunSpec) -> CvmConfig {
     cfg.jitter_max = cvm_sim::SimDuration::from_us(spec.jitter_us);
     cfg.prefer_local_lock_waiters = spec.prefer_local_locks;
     cfg.spans = spec.spans;
-    cfg.shards = spec.shards;
     cfg.seed = spec.seed;
     cfg
 }

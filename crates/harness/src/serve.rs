@@ -14,8 +14,8 @@
 //! Determinism: each cell's seed is split from the scenario seed by its
 //! *rate index* ([`workq::seed_split`]), never by the worker that ran it,
 //! and results are returned in ladder order — so `BENCH_serve.json` is
-//! byte-identical at any `--workers` and any event-core `--shards` count.
-//! Host wall-clock goes to stderr only.
+//! byte-identical at any `--workers` count. Host wall-clock goes to
+//! stderr only.
 
 use std::fmt::Write as _;
 
@@ -37,17 +37,14 @@ pub const FILE_NAME: &str = "BENCH_serve.json";
 /// draining backlog long past it.
 pub const KEEPUP_OVERHANG: f64 = 0.25;
 
-/// One serve invocation: the scenario plus host-side execution knobs
-/// (which, by construction, never change the artifact's bytes).
+/// One serve invocation: the scenario plus the host-side worker count
+/// (which, by construction, never changes the artifact's bytes).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// What to run.
     pub scenario: ServeScenario,
     /// Host worker threads for the rate ladder (0 = one per core).
     pub workers: usize,
-    /// Event-core shards for every cell; any value produces a
-    /// byte-identical report.
-    pub shards: usize,
 }
 
 impl ServeConfig {
@@ -56,7 +53,6 @@ impl ServeConfig {
         ServeConfig {
             scenario,
             workers: 0,
-            shards: 1,
         }
     }
 
@@ -125,13 +121,12 @@ pub struct ServeReport {
 }
 
 /// Runs one ladder cell.
-fn run_cell(sc: &ServeScenario, shards: usize, idx: usize, rate: f64) -> ServeCell {
+fn run_cell(sc: &ServeScenario, idx: usize, rate: f64) -> ServeCell {
     let mut kv_cfg = sc.kv;
     kv_cfg.rate_rps = rate;
     let seed = workq::seed_split(sc.seed, idx as u64);
     let mut dsm = CvmConfig::paper(sc.nodes, sc.threads);
     dsm.seed = seed;
-    dsm.shards = shards;
     dsm.local_grant_cap = sc.local_grant_cap;
     let (table_sum, served, report) = kv::serve_of_config(&kv_cfg, dsm);
     ServeCell {
@@ -154,13 +149,13 @@ pub fn run_serve(config: ServeConfig) -> ServeReport {
             c.report.total_ms()
         )
     };
-    let (sc, shards) = (&config.scenario, config.shards);
+    let sc = &config.scenario;
     let cells = crate::campaign::run(
         "serve",
         config.workers,
         config.rates(),
         label,
-        |idx, rate| run_cell(sc, shards, idx, rate),
+        |idx, rate| run_cell(sc, idx, rate),
     );
     ServeReport { config, cells }
 }
@@ -173,9 +168,9 @@ impl ServeReport {
     }
 
     /// The whole experiment as one JSON document (`BENCH_serve.json`).
-    /// Virtual-time numerics only: host timings, worker counts and shard
-    /// counts are deliberately excluded so the bytes are identical across
-    /// machines, `--workers` and `--shards`.
+    /// Virtual-time numerics only: host timings and worker counts are
+    /// deliberately excluded so the bytes are identical across machines
+    /// and `--workers`.
     pub fn to_json(&self) -> JsonValue {
         let sc = &self.config.scenario;
         let mut obj = JsonValue::object();
@@ -318,19 +313,17 @@ mod tests {
     }
 
     #[test]
-    fn serve_json_is_identical_across_workers_shards_and_reruns() {
+    fn serve_json_is_identical_across_workers_and_reruns() {
         let base = ServeConfig {
             scenario: tiny_scenario(),
             workers: 1,
-            shards: 1,
         };
         let mut fanned = base.clone();
         fanned.workers = 3;
-        fanned.shards = 4;
         let a = run_serve(base.clone()).to_json().to_pretty();
         let b = run_serve(fanned).to_json().to_pretty();
         let c = run_serve(base).to_json().to_pretty();
-        assert_eq!(a, b, "serve JSON must not depend on --workers/--shards");
+        assert_eq!(a, b, "serve JSON must not depend on --workers");
         assert_eq!(a, c, "serve JSON must be stable across reruns");
     }
 

@@ -48,7 +48,7 @@ fn load_scenario(args: &Args<'_>, arg: &str) -> Result<ServeScenario, CliError> 
 /// Parses `cvm serve ARGS` and loads the scenario it names.
 pub fn parse(argv: &[String]) -> Result<ServeCmd, CliError> {
     let mut scenario_arg: Option<&str> = None;
-    let (mut workers, mut shards) = (0usize, 1usize);
+    let mut workers = 0usize;
     let mut out: Option<String> = None;
     let (mut baseline, mut gate_pct) = (None, 5.0);
     let mut rate: Option<f64> = None;
@@ -65,7 +65,6 @@ pub fn parse(argv: &[String]) -> Result<ServeCmd, CliError> {
             "--baseline" => baseline = Some(a.value()?),
             "--gate" => gate_pct = a.positive()?,
             "--workers" => workers = a.value()?,
-            "--shards" => shards = a.positive()?,
             "--rate" => rate = Some(a.positive()?),
             "--sweep" => sweep = Some(a.list()?),
             "--cap" => cap = Some(a.value()?),
@@ -94,11 +93,7 @@ pub fn parse(argv: &[String]) -> Result<ServeCmd, CliError> {
     scenario
         .validate()
         .map_err(|e| CliError::Failed(format!("{scenario_arg}: {e}")))?;
-    let cfg = ServeConfig {
-        scenario,
-        workers,
-        shards,
-    };
+    let cfg = ServeConfig { scenario, workers };
     Ok(ServeCmd {
         cfg,
         out,

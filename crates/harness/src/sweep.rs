@@ -55,9 +55,6 @@ pub struct SweepConfig {
     /// Record causal span forests in every cell (off by default so the
     /// golden sweep artifacts stay byte-identical).
     pub spans: bool,
-    /// Event-core shards for every cell (`--shards`); any value
-    /// produces byte-identical reports.
-    pub shards: usize,
     /// Master seed; each configuration splits its own seed off this.
     pub seed: u64,
 }
@@ -72,7 +69,6 @@ impl Default for SweepConfig {
             protocols: vec![ProtocolKind::LazyMultiWriter],
             workers: 0,
             spans: false,
-            shards: 1,
             seed: 0x5EED_CAFE,
         }
     }
@@ -93,7 +89,6 @@ impl SweepConfig {
                         let mut spec = RunSpec::new(app, self.scale, nodes, threads);
                         spec.protocol = protocol;
                         spec.spans = self.spans;
-                        spec.shards = self.shards;
                         spec.seed = workq::seed_split(
                             self.seed,
                             config_salt(protocol, app, nodes, threads),
@@ -135,14 +130,13 @@ pub struct SweepReport {
 /// Runs the sweep: every configuration on the worker pool, results in
 /// configuration order.
 pub fn run_sweep(config: SweepConfig) -> SweepReport {
-    let label = |o: &RunOutcome| {
-        let s = &o.spec;
-        format!("{} P={} T={} done", s.app, s.nodes, s.threads)
-    };
-    let outcomes =
-        crate::campaign::run("sweep", config.workers, config.specs(), label, |_, spec| {
-            run_app(spec)
-        });
+    let outcomes = crate::campaign::run(
+        "sweep",
+        config.workers,
+        config.specs(),
+        RunOutcome::done_label,
+        |_, spec| run_app(spec),
+    );
     SweepReport { config, outcomes }
 }
 

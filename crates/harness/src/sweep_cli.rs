@@ -54,7 +54,6 @@ pub fn parse_sweep(argv: &[String]) -> Result<SweepCmd, CliError> {
             "--workers" => c.cfg.workers = a.value()?,
             "--nodes" => c.cfg.nodes = a.list()?,
             "--threads" => c.cfg.threads = a.list()?,
-            "--shards" => c.cfg.shards = a.positive()?,
             "--app" => apps.push(a.app()?),
             "--protocol" => c.cfg.protocols = a.protocols()?,
             "--seed" => c.cfg.seed = a.u64()?,

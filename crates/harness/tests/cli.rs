@@ -51,7 +51,6 @@ fn suite() -> BenchCmd {
         ladder: false,
         nodes: None,
         threads: None,
-        shards: 8,
         scale: Scale::Small,
         spans: false,
         json: false,
@@ -91,14 +90,14 @@ fn sweep_lines_of_hostbench_and_ci() {
     assert_eq!(ci.cfg.workers, 0, "0 = one worker per core");
     assert_eq!(ci.out.as_deref(), Some("BENCH_sweep.json"));
     // Protocol axis, hex seed, markdown copy; --out before --json sticks.
-    let full = "--protocol lazy-mw,home-lazy --seed 0x5EED --md t.md --spans --shards 2 \
+    let full = "--protocol lazy-mw,home-lazy --seed 0x5EED --md t.md --spans \
                 --paper-scale --out x.json --json";
     let cmd = sweep_cli::parse_sweep(&argv(full)).unwrap();
     assert_eq!(
         cmd.cfg.protocols,
         [ProtocolKind::LazyMultiWriter, ProtocolKind::HomeLazy]
     );
-    assert_eq!((cmd.cfg.seed, cmd.cfg.shards), (0x5EED, 2));
+    assert_eq!(cmd.cfg.seed, 0x5EED);
     assert!(cmd.cfg.spans && cmd.cfg.scale == Scale::Paper);
     assert_eq!(
         (cmd.md.as_deref(), cmd.out.as_deref()),
@@ -141,12 +140,11 @@ fn serve_lines_of_hostbench_and_ci() {
     let deck = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/session.ini");
     let cmd = serve_cli::parse(&argv(&format!("{deck} --workers 1 --json --out s.json"))).unwrap();
     assert_eq!(cmd.cfg.scenario.name, "session", "the file stem names it");
-    assert_eq!((cmd.cfg.workers, cmd.cfg.shards), (1, 1));
+    assert_eq!(cmd.cfg.workers, 1);
     assert_eq!(cmd.out.as_deref(), Some("s.json"));
     // The deck and the builtin are the same scenario (CI cmp's their JSON).
-    let builtin = serve_cli::parse(&argv("session --json --workers 1 --shards 4")).unwrap();
+    let builtin = serve_cli::parse(&argv("session --json --workers 1")).unwrap();
     assert_eq!(builtin.cfg.scenario, cmd.cfg.scenario);
-    assert_eq!(builtin.cfg.shards, 4);
     assert_eq!(builtin.out.as_deref(), Some("BENCH_serve.json"));
     // Default scenario, flag overrides, gate.
     let line = "--rate 1000 --cap 4 --seed 0x10 --sweep 500,1500 --baseline b.json --gate 2.5";
@@ -236,11 +234,11 @@ fn run_lines_of_hostbench_and_ci() {
         chrome: Some("t.json".to_owned()),
     };
     assert_eq!(run_cli::parse(&argv(line)), Ok(want));
-    let line = "barnes --nodes 64 --threads 4 --shards 4 --json r.json";
+    let line = "barnes --nodes 64 --threads 4 --json r.json";
     let RunCmd::Single { spec, json, .. } = run_cli::parse(&argv(line)).unwrap() else {
         panic!("a single run");
     };
-    assert_eq!((spec.nodes, spec.threads, spec.shards), (64, 4, 4));
+    assert_eq!((spec.nodes, spec.threads), (64, 4));
     assert_eq!(json.as_deref(), Some("r.json"));
     // Every switch.
     let line = "water-nsq --eager --lifo --memsim --verify --trace 40 --paper-scale";
@@ -292,11 +290,12 @@ fn bench_and_explain_lines_of_hostbench_and_ci() {
     let cmd = bench_cli::parse(&argv(line)).unwrap();
     assert!(cmd.ladder && cmd.json);
     assert_eq!(cmd.baseline.as_deref(), Some("baselines/BENCH_scale.json"));
-    let cmd = bench_cli::parse(&argv("--scale --nodes 8,16 --threads 2 --shards 4")).unwrap();
-    assert_eq!(
-        (cmd.nodes, cmd.threads, cmd.shards),
-        (Some(vec![8, 16]), Some(2), 4)
+    assert!(
+        cmd.spans,
+        "a gate compares the span summary; the ladder ignores it"
     );
+    let cmd = bench_cli::parse(&argv("--scale --nodes 8,16 --threads 2")).unwrap();
+    assert_eq!((cmd.nodes, cmd.threads), (Some(vec![8, 16]), Some(2)));
     // A ladder is a --scale option; --current is nothing without --baseline.
     let e = bench_cli::parse(&argv("--nodes 8,16"))
         .unwrap_err()
@@ -326,7 +325,6 @@ const VALUE_FLAGS: &[(&str, &str, Option<&str>)] = &[
     ("run sor", "--threads", Some("-1")),
     ("run sor", "--protocol", Some("bogus")),
     ("run sor", "--trace", Some("many")),
-    ("run sor", "--shards", Some("0")),
     ("run sor", "--json", None),
     ("run sor", "--chrome-trace", None),
     ("run sor", "--replay", None),
@@ -335,13 +333,11 @@ const VALUE_FLAGS: &[(&str, &str, Option<&str>)] = &[
     ("bench", "--gate", Some("0")),
     ("bench", "--nodes", Some("8,,16")),
     ("bench", "--threads", Some("two")),
-    ("bench", "--shards", Some("0")),
     ("sweep", "--out", None),
     ("sweep", "--md", None),
     ("sweep", "--workers", Some("x")),
     ("sweep", "--nodes", Some("4,0")),
     ("sweep", "--threads", Some("0")),
-    ("sweep", "--shards", Some("0")),
     ("sweep", "--app", Some("tetris")),
     ("sweep", "--protocol", Some("lazy-mw,bogus")),
     ("sweep", "--seed", Some("0xZZ")),
@@ -358,7 +354,6 @@ const VALUE_FLAGS: &[(&str, &str, Option<&str>)] = &[
     ("serve", "--baseline", None),
     ("serve", "--gate", Some("-5")),
     ("serve", "--workers", Some("x")),
-    ("serve", "--shards", Some("0")),
     ("serve", "--rate", Some("0")),
     ("serve", "--sweep", Some("500,fast")),
     ("serve", "--cap", Some("-1")),
@@ -454,6 +449,15 @@ fn unknown_things_name_the_offender() {
             "check --scale huge",
             "cvm check: --scale: unknown scale \"huge\"",
         ),
+        // The ladder names the flags it would otherwise swallow.
+        (
+            "bench --scale --paper-scale --nodes 8",
+            "cvm bench: --paper-scale: the ladder always runs the tiny input",
+        ),
+        (
+            "bench --scale --spans",
+            "cvm bench: --spans: not recorded by --scale",
+        ),
     ] {
         assert_eq!(parse(line).unwrap_err().to_string(), want, "{line}");
     }
@@ -475,30 +479,42 @@ fn unknown_things_name_the_offender() {
 /// subcommand's usage section — and never a panic.
 #[test]
 fn bad_counts_exit_2_with_their_own_usage_section() {
-    for (args, error, section, foreign) in [
+    let mut cases = vec![
         (
-            &["run", "sor", "--nodes", "0"][..],
-            "cvm run: --nodes: must be positive, got \"0\"",
-            "run options:",
-            "sweep options:",
+            "run sor --nodes 0".to_owned(),
+            "cvm run: --nodes: must be positive, got \"0\"".to_owned(),
         ),
         (
-            &["sweep", "--workers", "x"][..],
-            "cvm sweep: --workers: invalid digit found in string, got \"x\"",
-            "sweep options:",
-            "run options:",
+            "sweep --workers x".to_owned(),
+            "cvm sweep: --workers: invalid digit found in string, got \"x\"".to_owned(),
         ),
-    ] {
+    ];
+    // There is one event loop: no subcommand takes a shard count.
+    for cmd in ["run sor", "sweep", "serve", "bench --scale"] {
+        let sub = cmd.split(' ').next().expect("a subcommand");
+        cases.push((
+            format!("{cmd} --shards 2"),
+            format!("cvm {sub}: unknown flag \"--shards\""),
+        ));
+    }
+    for (line, error) in cases {
+        let args = argv(&line);
+        let section = format!("{} options:", args[0]);
+        let foreign = if args[0] == "run" {
+            "sweep options:"
+        } else {
+            "run options:"
+        };
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_cvm"))
-            .args(args)
+            .args(&args)
             .output()
             .expect("cvm runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?}");
         let stderr = String::from_utf8(out.stderr).expect("utf-8");
         let mut lines = stderr.lines();
-        assert_eq!(lines.next(), Some(error));
-        assert_eq!(lines.next(), Some(section));
+        assert_eq!(lines.next(), Some(error.as_str()));
+        assert_eq!(lines.next(), Some(section.as_str()));
         assert!(
             lines.all(|l| l.starts_with("  ")),
             "one section only:\n{stderr}"

@@ -193,16 +193,6 @@ impl LatencyModel {
         self.fixed + SimDuration::from_us_f64(bytes as f64 * self.per_byte_ns / 1_000.0)
     }
 
-    /// Conservative lookahead floor: the minimum time between a send and
-    /// *any* consequence at the receiver. The per-byte term, jitter and
-    /// handler service only ever add to the fixed overhead, so a message
-    /// sent at `t` cannot affect its destination before `t + lookahead()`.
-    /// This bound is what lets the parallel event core run node-local work
-    /// inside a window of that width without consulting other nodes.
-    pub fn lookahead(&self) -> SimDuration {
-        self.fixed
-    }
-
     /// Receiver handler service time for `kind`.
     pub fn handler_time(&self, kind: MsgKind) -> SimDuration {
         self.handler.cost(kind)
@@ -269,19 +259,5 @@ mod tests {
         let m = LatencyModel::paper();
         assert!(m.wire_time(0) < m.wire_time(1000));
         assert!(m.wire_time(1000) < m.wire_time(100_000));
-    }
-
-    #[test]
-    fn lookahead_bounds_every_wire_time() {
-        for m in [
-            LatencyModel::paper(),
-            LatencyModel::instant(),
-            LatencyModel::check(),
-        ] {
-            assert!(m.lookahead() > SimDuration::ZERO);
-            for bytes in [0usize, 1, 64, 8192, 1 << 20] {
-                assert!(m.wire_time(bytes) >= m.lookahead());
-            }
-        }
     }
 }

@@ -635,38 +635,6 @@ impl<P> NetworkSim<P> {
         self.in_flight
     }
 
-    /// Lowers `floors[n]` to a conservative bound on the earliest instant
-    /// the network could still affect node `n`: the minimum pending event
-    /// time over arrivals and service completions destined for `n`, and
-    /// over armed retransmission timers whose resend would target `n`
-    /// (the resend's delivery is strictly later than the timer, so the
-    /// timer time is a safe lower bound). Ack arrivals are excluded — ack
-    /// processing only updates sender-side RTT bookkeeping, never node
-    /// state. Messages held in a reorder buffer need no entry of their
-    /// own: their delivery is triggered by a pending event on the same
-    /// link, which is already counted.
-    ///
-    /// Entries for quiescent destinations are left untouched, so callers
-    /// should pre-fill with [`VirtualTime::MAX`].
-    pub fn delivery_floors(&self, floors: &mut [VirtualTime]) {
-        for (t, phase) in self.queue.iter() {
-            let dst = match phase {
-                Phase::Arrival(env) => env.msg.dst.0,
-                Phase::Serviced(msg, _, _) => msg.dst.0,
-                Phase::Retry(src, dst, seq) => {
-                    if !self.pending.contains_key(&(*src, *dst, *seq)) {
-                        continue; // dead timer: the message was acked
-                    }
-                    *dst
-                }
-                Phase::AckArrival(..) => continue,
-            };
-            if t < floors[dst] {
-                floors[dst] = t;
-            }
-        }
-    }
-
     /// Accumulated traffic statistics.
     pub fn stats(&self) -> &NetStats {
         &self.stats

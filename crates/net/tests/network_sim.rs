@@ -1,6 +1,6 @@
 //! Behavioral tests of [`NetworkSim`]: delivery ordering, handler
-//! occupancy, jitter determinism, loss recovery, delivery floors and the
-//! parked-byte gauges. Everything here drives the public API only.
+//! occupancy, jitter determinism, loss recovery and the parked-byte
+//! gauges. Everything here drives the public API only.
 
 use cvm_net::*;
 use cvm_sim::{SimDuration, SimRng, VirtualTime};
@@ -151,28 +151,6 @@ fn bad_destination_panics() {
 }
 
 #[test]
-fn delivery_floors_bound_actual_deliveries() {
-    let mut net = NetworkSim::new(3, LatencyModel::paper());
-    net.send(VirtualTime::ZERO, msg(0, 1, MsgKind::LockRequest, 64));
-    net.send(
-        VirtualTime::from_us(10),
-        msg(0, 2, MsgKind::PageReply, 8192),
-    );
-    let mut floors = [VirtualTime::MAX; 3];
-    net.delivery_floors(&mut floors);
-    assert_eq!(floors[0], VirtualTime::MAX, "nothing targets node 0");
-    assert!(floors[1] < VirtualTime::MAX);
-    assert!(floors[2] < VirtualTime::MAX);
-    while let Some((t, m)) = net.next() {
-        assert!(
-            floors[m.dst.0] <= t,
-            "floor for {} exceeded its delivery",
-            m.dst
-        );
-    }
-}
-
-#[test]
 fn parked_bytes_track_retransmission_copies() {
     let mut net = NetworkSim::new(2, LatencyModel::paper());
     net.enable_loss(SimRng::seed_from(1), LossConfig::clean_adaptive());
@@ -204,17 +182,4 @@ fn parked_bytes_drain_under_loss() {
     assert_eq!(delivered, 50);
     assert_eq!(net.parked().live_total(), 0);
     assert!(net.parked().peak_total() >= 64);
-}
-
-#[test]
-fn delivery_floors_cover_retransmission_timers() {
-    let mut net = NetworkSim::new(2, LatencyModel::paper());
-    net.enable_loss(SimRng::seed_from(1), LossConfig::clean_adaptive());
-    net.send(VirtualTime::ZERO, msg(0, 1, MsgKind::LockRequest, 64));
-    let mut floors = [VirtualTime::MAX; 2];
-    net.delivery_floors(&mut floors);
-    // The armed retry timer resends toward node 1; its floor entry
-    // must exist even though the ack will normally cancel it.
-    assert!(floors[1] < VirtualTime::MAX);
-    assert_eq!(floors[0], VirtualTime::MAX, "acks do not floor the sender");
 }

@@ -29,7 +29,7 @@
 //! * [`resume`](CoopScheduler::resume) — the classic baton: start the burst
 //!   and wait for it, so exactly one of {driver, one thread} runs at a time.
 //! * [`start`](CoopScheduler::start) + [`wait`](CoopScheduler::wait) — the
-//!   split form used by the parallel event core: the driver may start
+//!   split form `resume` is built from: a driver may start
 //!   several threads' bursts (on *different* nodes, per its own safety
 //!   analysis) and collect each burst's outcome later. Because each thread
 //!   reports into its own mailbox, overlapping bursts never contend

@@ -89,26 +89,6 @@ impl<E> EventQueue<E> {
         self.heap.push(Scheduled { time, seq, event });
     }
 
-    /// Schedules `event` at `time` with an externally assigned sequence
-    /// number (the sharded queue stamps one global sequence across all
-    /// shard heaps so the merged order matches a single queue).
-    pub(crate) fn push_with_seq(&mut self, time: VirtualTime, seq: u64, event: E) {
-        self.seq = self.seq.max(seq + 1);
-        self.heap.push(Scheduled { time, seq, event });
-    }
-
-    /// The `(time, seq)` key of the earliest pending event (the merge key
-    /// used by the sharded queue).
-    pub(crate) fn peek_key(&self) -> Option<(VirtualTime, u64)> {
-        self.heap.peek().map(|s| (s.time, s.seq))
-    }
-
-    /// Visits every pending event in no particular order (used to compute
-    /// conservative per-destination time floors without draining).
-    pub fn iter(&self) -> impl Iterator<Item = (VirtualTime, &E)> {
-        self.heap.iter().map(|s| (s.time, &s.event))
-    }
-
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(VirtualTime, E)> {
         self.heap.pop().map(|s| (s.time, s.event))
@@ -200,17 +180,6 @@ mod tests {
         assert_eq!(q.capacity(), cap, "64 pushes fit the pre-sized heap");
         let got: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(got, (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn iter_visits_all_pending_events() {
-        let mut q = EventQueue::new();
-        for us in [5u64, 1, 4] {
-            q.push(VirtualTime::from_us(us), us);
-        }
-        let mut seen: Vec<u64> = q.iter().map(|(_, &e)| e).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, [1, 4, 5]);
     }
 
     #[test]

@@ -20,9 +20,6 @@
 //! * [`script`] — the scheduler's pick policy (FIFO/LIFO base order
 //!   plus a scripted or seeded override) and the per-step footprint
 //!   records and state hashing the stateless model checker consumes.
-//! * [`shard`] — per-shard event heaps merged in global `(time, seq)`
-//!   order, the substrate of the parallel event core: identical pop
-//!   order at any shard count.
 //! * [`workq`] — deterministic fan-out of independent jobs (the sweep
 //!   engine's worker pool): results keyed by item index, seeds split per
 //!   item, so any worker count produces identical output.
@@ -47,7 +44,6 @@ pub mod hist;
 pub mod json;
 pub mod rng;
 pub mod script;
-pub mod shard;
 pub mod stats;
 pub mod sync;
 pub mod time;
@@ -62,5 +58,4 @@ pub use script::{
     BaseOrder, ExploreSchedule, ExploreSpec, Fnv64, PickOverride, PickPolicy, ScheduleScript,
     ScriptCursor, StepLog, StepRecord, SyncOp,
 };
-pub use shard::{ShardMap, ShardedEventQueue};
 pub use time::{SimDuration, VirtualTime};

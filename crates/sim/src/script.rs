@@ -226,21 +226,6 @@ impl PickPolicy {
         over.unwrap_or_else(|| self.base.index(ready_len))
     }
 
-    /// What [`pick`](Self::pick) will return, without consuming anything
-    /// — `Some` only when no override is configured, the one case where
-    /// the pick is a pure function of the queue length.
-    #[must_use]
-    pub fn peek(&self, ready_len: usize) -> Option<usize> {
-        self.is_default().then(|| self.base.index(ready_len))
-    }
-
-    /// Whether no override is configured (the parallel planner's
-    /// precondition for predicting picks).
-    #[must_use]
-    pub fn is_default(&self) -> bool {
-        matches!(self.over, PickOverride::None)
-    }
-
     /// Seeded perturbation decisions taken so far (0 unless seeded).
     #[must_use]
     pub fn decisions(&self) -> u64 {
@@ -439,15 +424,7 @@ mod tests {
         for len in [1usize, 2, 5] {
             assert_eq!(fifo.pick(len), 0);
             assert_eq!(lifo.pick(len), len - 1);
-            assert_eq!(fifo.peek(len), Some(0));
-            assert_eq!(lifo.peek(len), Some(len - 1));
         }
-        assert!(fifo.is_default() && lifo.is_default());
-        assert_eq!(
-            lifo.peek(0),
-            Some(0),
-            "empty queue: the caller's get() misses"
-        );
     }
 
     #[test]
@@ -476,16 +453,6 @@ mod tests {
         }
         assert_eq!(policy.decisions(), 3, "budget bounds the decisions");
         assert_eq!(policy.decisions(), stream.decisions());
-    }
-
-    #[test]
-    fn peek_is_none_under_any_override() {
-        let scripted = PickPolicy::scripted(ScheduleScript::default());
-        let seeded = PickPolicy::seeded(ExploreSpec { seed: 1, budget: 0 });
-        for p in [scripted, seeded] {
-            assert!(!p.is_default());
-            assert_eq!(p.peek(3), None);
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The serving workload's determinism contract: `BENCH_serve.json` is a
-//! pure function of the scenario — never of host workers, event-core
-//! shards, or which run produced it.
+//! pure function of the scenario — never of host workers or which run
+//! produced it.
 
 use cvm_apps::kv::scenario::ServeScenario;
 use cvm_apps::kv::KvConfig;
@@ -25,32 +25,28 @@ fn tiny() -> ServeScenario {
     sc
 }
 
-fn bytes_of(workers: usize, shards: usize, scenario: ServeScenario) -> String {
-    run_serve(ServeConfig {
-        scenario,
-        workers,
-        shards,
-    })
-    .to_json()
-    .to_pretty()
+fn bytes_of(workers: usize, scenario: ServeScenario) -> String {
+    run_serve(ServeConfig { scenario, workers })
+        .to_json()
+        .to_pretty()
 }
 
 #[test]
-fn serve_artifact_is_byte_identical_across_workers_and_shards() {
-    let golden = bytes_of(1, 1, tiny());
-    for (workers, shards) in [(3, 1), (1, 4), (3, 4)] {
+fn serve_artifact_is_byte_identical_across_workers() {
+    let golden = bytes_of(1, tiny());
+    for workers in [2, 3] {
         assert_eq!(
             golden,
-            bytes_of(workers, shards, tiny()),
-            "workers={workers} shards={shards} changed the artifact bytes"
+            bytes_of(workers, tiny()),
+            "workers={workers} changed the artifact bytes"
         );
     }
 }
 
 #[test]
 fn serve_artifact_is_seed_stable_and_seed_sensitive() {
-    let a = bytes_of(1, 1, tiny());
-    let b = bytes_of(2, 1, tiny());
+    let a = bytes_of(1, tiny());
+    let b = bytes_of(2, tiny());
     assert_eq!(a, b, "same seed must reproduce the artifact");
 
     let mut reseeded = tiny();
