@@ -40,7 +40,7 @@ pub mod swm;
 pub mod water_nsq;
 pub mod water_sp;
 
-pub use registry::{build_app, AppId, AppMeta, Scale};
+pub use registry::{build_app, build_variant, AppId, AppMeta, Scale, Variant};
 pub use water_nsq::WaterNsqOpt;
 
 use cvm_dsm::ThreadCtx;

@@ -226,28 +226,50 @@ pub fn build_app(b: &mut CvmBuilder, id: AppId, scale: Scale) -> AppBody {
     }
 }
 
-/// Builds Ocean with or without the `r` (local-barrier reduction)
-/// modification — the ablation for the paper's second limiting factor
-/// ("reduction operations").
-pub fn build_ocean_variant(b: &mut CvmBuilder, scale: Scale, use_reduction: bool) -> AppBody {
-    let mut cfg = match scale {
-        Scale::Tiny => ocean::OceanConfig::tiny(),
-        Scale::Small => ocean::OceanConfig::small(),
-        Scale::Paper => ocean::OceanConfig::paper(),
-    };
-    cfg.use_reduction = use_reduction;
-    ocean::build(b, cfg)
+/// A source modification the paper measures, built in place of one
+/// application's stock program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Variant {
+    /// One of Table 5's Water-Nsq programs (the stock one is `BothOpts`).
+    WaterNsq(WaterNsqOpt),
+    /// Ocean without the `r` (local-barrier reduction) modification — the
+    /// ablation for the paper's second limiting factor ("reduction
+    /// operations").
+    OceanWithoutReduction,
 }
 
-/// Builds a specific Water-Nsq variant (Table 5 case study).
-pub fn build_water_nsq_variant(b: &mut CvmBuilder, scale: Scale, opt: WaterNsqOpt) -> AppBody {
-    let mut cfg = match scale {
-        Scale::Tiny => water_nsq::WaterNsqConfig::tiny(),
-        Scale::Small => water_nsq::WaterNsqConfig::small(),
-        Scale::Paper => water_nsq::WaterNsqConfig::paper(),
-    };
-    cfg.opt = opt;
-    water_nsq::build(b, cfg)
+impl Variant {
+    /// The application this variant modifies.
+    pub fn app(self) -> AppId {
+        match self {
+            Variant::WaterNsq(_) => AppId::WaterNsq,
+            Variant::OceanWithoutReduction => AppId::Ocean,
+        }
+    }
+}
+
+/// Builds `variant` of its application at `scale`.
+pub fn build_variant(b: &mut CvmBuilder, variant: Variant, scale: Scale) -> AppBody {
+    match variant {
+        Variant::WaterNsq(opt) => {
+            let mut cfg = match scale {
+                Scale::Tiny => water_nsq::WaterNsqConfig::tiny(),
+                Scale::Small => water_nsq::WaterNsqConfig::small(),
+                Scale::Paper => water_nsq::WaterNsqConfig::paper(),
+            };
+            cfg.opt = opt;
+            water_nsq::build(b, cfg)
+        }
+        Variant::OceanWithoutReduction => {
+            let mut cfg = match scale {
+                Scale::Tiny => ocean::OceanConfig::tiny(),
+                Scale::Small => ocean::OceanConfig::small(),
+                Scale::Paper => ocean::OceanConfig::paper(),
+            };
+            cfg.use_reduction = false;
+            ocean::build(b, cfg)
+        }
+    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 use cvm_apps::{AppId, Scale};
 use cvm_sim::json::JsonValue;
 
-use crate::runner::{run_app, RunOutcome, RunSpec};
+use crate::runner::{grid, run_app, RunOutcome, RunSpec};
 
 /// Hot-resource table depth used in bench reports.
 pub const TOP_N: usize = 10;
@@ -29,18 +29,13 @@ pub fn file_name(app: AppId) -> String {
 pub const OBS_FILE: &str = "BENCH_obs.json";
 
 /// Runs every application once at `nodes`×`threads` (skipping apps that
-/// reject the thread count), with span recording switched on or off, and
-/// returns the outcomes in suite order.
+/// reject the thread count), with span recording switched on or off, on
+/// one worker per core, and returns the outcomes in suite order.
 pub fn run_suite(scale: Scale, nodes: usize, threads: usize, spans: bool) -> Vec<RunOutcome> {
-    AppId::ALL
-        .into_iter()
-        .filter(|app| app.supports_threads(threads))
-        .map(|app| {
-            let mut spec = RunSpec::new(app, scale, nodes, threads);
-            spec.spans = spans;
-            run_app(spec)
-        })
-        .collect()
+    let cells = grid(scale, &AppId::ALL, &[nodes], &[threads]);
+    crate::campaign::run("cvm", 0, cells, RunOutcome::done_label, |_, spec| {
+        run_app(RunSpec { spans, ..spec })
+    })
 }
 
 /// The suite's span summaries as one `BENCH_obs.json` document: per-app

@@ -16,8 +16,7 @@ use std::str::FromStr;
 use cvm_dsm::ProtocolKind;
 use cvm_sim::json::JsonValue;
 
-use crate::tables::{self, Suite};
-use crate::{bench_cli, check_cli, explain, micro, run_cli, serve_cli, sweep_cli, AppId, Scale};
+use crate::{bench_cli, check_cli, explain, run_cli, serve_cli, sweep_cli, tables, AppId};
 
 /// Everything `cvm --help` prints: a synopsis paragraph, then one
 /// "`<cmd>` options:" paragraph per subcommand.
@@ -247,52 +246,6 @@ pub fn gate_against(baseline_path: &str, doc: &JsonValue, pct: f64) -> Result<()
     Ok(())
 }
 
-type Table = fn(&mut Suite) -> String;
-
-/// Every table artifact by command name, in `all` order; `all` stops
-/// before `perturb`, whose five re-seeded suites run on demand only.
-const TABLES: [(&str, Table); 12] = [
-    ("micro", |_| micro::render(&micro::report())),
-    ("table1", |s| tables::table1(s.scale())),
-    ("fig1", tables::fig1),
-    ("table2", tables::table2),
-    ("table3", tables::table3),
-    ("fig2", tables::fig2),
-    ("table4", tables::table4),
-    ("table5", tables::table5),
-    ("latency", tables::latency),
-    ("ablation", |s| tables::ablation(s.scale())),
-    ("protocols", |s| tables::protocols(s.scale())),
-    ("perturb", |s| tables::perturb(s.scale(), 5)),
-];
-
-fn run_tables(cmd: &str, argv: &[String]) -> Result<(), CliError> {
-    let mut scale = Scale::Small;
-    let mut args = Args::new(cmd, argv);
-    args.each(|a| {
-        match a.flag() {
-            "--paper-scale" => scale = Scale::Paper,
-            "--small" => scale = Scale::Small,
-            _ => return Err(a.unknown()),
-        }
-        Ok(())
-    })?;
-    let selected = match cmd {
-        "all" => &TABLES[..TABLES.len() - 1],
-        _ => match TABLES.iter().position(|(name, _)| *name == cmd) {
-            Some(i) => &TABLES[i..=i],
-            None => return Err(args.usage("unknown command")),
-        },
-    };
-    let mut suite = Suite::new(scale);
-    let rendered: Vec<String> = selected
-        .iter()
-        .map(|(_, table)| table(&mut suite))
-        .collect();
-    print!("{}", rendered.join("\n"));
-    Ok(())
-}
-
 /// Runs subcommand `cmd` over its arguments.
 ///
 /// `--host-time` is the one flag read here and not by a subcommand's
@@ -317,7 +270,7 @@ pub fn dispatch(cmd: &str, argv: &[String]) -> Result<(), CliError> {
         "serve" => serve_cli::parse(argv).and_then(serve_cli::run),
         "check" => check_cli::parse(argv).and_then(check_cli::run),
         "explain" => explain::parse(argv).and_then(explain::run),
-        _ => run_tables(cmd, argv),
+        _ => tables::parse(cmd, argv).and_then(tables::run),
     };
     if let Some(table) = cvm_dsm::host_time_table() {
         eprint!("{table}");

@@ -164,16 +164,17 @@ impl Forest {
         self.by_id.get(&id).map(|&i| &self.rows[i])
     }
 
-    /// Root ancestor chain of `id`, outermost first, `id` excluded.
-    fn ancestors(&self, id: u64) -> Vec<u64> {
+    /// Root ancestor chain of `id`, outermost first, `id` excluded. A
+    /// parent id the report does not hold ends the chain.
+    fn ancestors(&self, id: u64) -> Vec<&Row> {
         let mut chain = Vec::new();
         let mut cur = self.row(id).map_or(0, |r| r.parent);
-        while cur != 0 {
-            chain.push(cur);
+        while let Some(r) = self.row(cur).filter(|_| cur != 0) {
             if chain.len() > self.rows.len() {
                 break; // Defensive: corrupt parent links must not loop.
             }
-            cur = self.row(cur).map_or(0, |r| r.parent);
+            chain.push(r);
+            cur = r.parent;
         }
         chain.reverse();
         chain
@@ -213,7 +214,7 @@ impl Forest {
                 format!(
                     "  ({} retries, backoff {})",
                     h.retries,
-                    fmt_ns(h.tx_ns - h.sent_ns)
+                    fmt_ns(h.tx_ns.saturating_sub(h.sent_ns))
                 )
             } else {
                 String::new()
@@ -313,8 +314,7 @@ pub fn explain(report: &JsonValue, mode: &Mode) -> Result<String, String> {
                 return Err(format!("no span with id {id} in this report"));
             }
             let chain = forest.ancestors(*id);
-            for (depth, anc) in chain.iter().enumerate() {
-                let r = forest.row(*anc).expect("ancestor ids resolve");
+            for (depth, r) in chain.iter().enumerate() {
                 let pad = "  ".repeat(depth);
                 let _ = writeln!(
                     out,

@@ -1,6 +1,8 @@
 //! Experiment harness: regenerates every table and figure of the paper.
+//! Each is a [`tables::TABLES`] entry: the cells it reads, run once each
+//! through [`campaign::run`] (as every campaign is), and a render.
 //!
-//! | artifact | function | paper content |
+//! | artifact | render | paper content |
 //! |---|---|---|
 //! | §4.1 micro | [`micro::report`] | lock/fault/barrier/switch costs |
 //! | Table 1 | [`tables::table1`] | application specifics |
@@ -35,6 +37,6 @@ pub mod sweep;
 pub mod sweep_cli;
 pub mod tables;
 
-pub use runner::{run_app, run_water_nsq_variant, RunOutcome, RunSpec};
+pub use runner::{run_app, RunOutcome, RunSpec};
 
-pub use cvm_apps::{AppId, Scale, WaterNsqOpt};
+pub use cvm_apps::{AppId, Scale, Variant, WaterNsqOpt};

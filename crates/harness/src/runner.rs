@@ -1,6 +1,7 @@
-//! Uniform run driver used by all table/figure emitters.
+//! The one run function ([`run_app`]) and the one grid enumerator
+//! ([`grid`]) behind every campaign: the paper tables, `sweep` and `bench`.
 
-use cvm_apps::{build_app, registry::build_water_nsq_variant, AppId, Scale, WaterNsqOpt};
+use cvm_apps::{build_app, build_variant, AppId, Scale, Variant};
 use cvm_dsm::{CvmBuilder, CvmConfig, ProtocolKind, RunReport};
 use cvm_net::MsgClass;
 
@@ -31,6 +32,9 @@ pub struct RunSpec {
     pub spans: bool,
     /// Master seed.
     pub seed: u64,
+    /// A source modification of `app` to run instead of its stock program
+    /// (Table 5, the `r` ablation).
+    pub variant: Option<Variant>,
 }
 
 impl RunSpec {
@@ -49,8 +53,23 @@ impl RunSpec {
             jitter_us: 0,
             spans: false,
             seed: 0x5EED_CAFE,
+            variant: None,
         }
     }
+}
+
+/// The standard specs of `apps` × `nodes` × `threads`, in that nesting
+/// order, minus the thread counts an application rejects.
+pub fn grid(scale: Scale, apps: &[AppId], nodes: &[usize], threads: &[usize]) -> Vec<RunSpec> {
+    let mut specs = Vec::new();
+    for &app in apps {
+        for &n in nodes {
+            for &t in threads.iter().filter(|&&t| app.supports_threads(t)) {
+                specs.push(RunSpec::new(app, scale, n, t));
+            }
+        }
+    }
+    specs
 }
 
 /// A completed run plus convenience accessors for the table columns.
@@ -117,18 +136,20 @@ pub(crate) fn config_for(spec: &RunSpec) -> CvmConfig {
     cfg
 }
 
-/// Runs one experiment.
+/// Runs one experiment: `spec.app`'s stock program, or `spec.variant`.
+///
+/// # Panics
+///
+/// If `spec.variant` modifies an application other than `spec.app`.
 pub fn run_app(spec: RunSpec) -> RunOutcome {
     let mut builder = CvmBuilder::new(config_for(&spec));
-    let body = build_app(&mut builder, spec.app, spec.scale);
-    let report = builder.run(body);
-    RunOutcome { spec, report }
-}
-
-/// Runs a specific Water-Nsq variant (Table 5).
-pub fn run_water_nsq_variant(spec: RunSpec, opt: WaterNsqOpt) -> RunOutcome {
-    let mut builder = CvmBuilder::new(config_for(&spec));
-    let body = build_water_nsq_variant(&mut builder, spec.scale, opt);
+    let body = match spec.variant {
+        None => build_app(&mut builder, spec.app, spec.scale),
+        Some(v) => {
+            assert_eq!(v.app(), spec.app, "{v:?} is not a variant of {}", spec.app);
+            build_variant(&mut builder, v, spec.scale)
+        }
+    };
     let report = builder.run(body);
     RunOutcome { spec, report }
 }
@@ -151,5 +172,14 @@ mod tests {
         assert_eq!(pct_change(0, 10), 0.0);
         assert_eq!(pct_change(100, 112), 12.0);
         assert_eq!(pct_change(100, 88), -12.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "OceanWithoutReduction is not a variant of SOR")]
+    fn a_variant_of_another_app_is_rejected() {
+        run_app(RunSpec {
+            variant: Some(Variant::OceanWithoutReduction),
+            ..RunSpec::new(AppId::Sor, Scale::Tiny, 1, 1)
+        });
     }
 }

@@ -27,7 +27,7 @@ use cvm_sim::json::JsonValue;
 use cvm_sim::workq;
 
 use crate::bench::slug;
-use crate::runner::{run_app, RunOutcome, RunSpec};
+use crate::runner::{grid, run_app, RunOutcome, RunSpec};
 
 /// Processor counts evaluated by the paper (4, 8, and a virtualized 16).
 pub const NODES: [usize; 3] = [4, 8, 16];
@@ -78,25 +78,18 @@ impl SweepConfig {
     /// The configurations this sweep will run, in report order: the full
     /// cross-product minus thread counts an application rejects.
     pub fn specs(&self) -> Vec<RunSpec> {
-        let mut specs = Vec::new();
+        let grid = grid(self.scale, &self.apps, &self.nodes, &self.threads);
+        let mut specs = Vec::with_capacity(grid.len() * self.protocols.len());
         for &protocol in &self.protocols {
-            for &app in &self.apps {
-                for &nodes in &self.nodes {
-                    for &threads in &self.threads {
-                        if !app.supports_threads(threads) {
-                            continue;
-                        }
-                        let mut spec = RunSpec::new(app, self.scale, nodes, threads);
-                        spec.protocol = protocol;
-                        spec.spans = self.spans;
-                        spec.seed = workq::seed_split(
-                            self.seed,
-                            config_salt(protocol, app, nodes, threads),
-                        );
-                        specs.push(spec);
-                    }
-                }
-            }
+            specs.extend(grid.iter().map(|&s| RunSpec {
+                protocol,
+                spans: self.spans,
+                seed: workq::seed_split(
+                    self.seed,
+                    config_salt(protocol, s.app, s.nodes, s.threads),
+                ),
+                ..s
+            }));
         }
         specs
     }

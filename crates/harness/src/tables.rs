@@ -1,68 +1,139 @@
-//! Table and figure emitters.
+//! The paper's evaluation as data. Every artifact is one [`TABLES`] entry
+//! `(name, cells, render)`: `cells(scale)` lists the [`RunSpec`]s the
+//! artifact reads, in row order, and `render(&runs, scale)` walks the same
+//! list, looking each outcome up by spec ([`Runs::get`]). A baseline row
+//! is `RunSpec { threads: 1, ..spec }`, so no grid is written twice.
 //!
-//! Each function regenerates one artifact of the paper's evaluation
-//! section as formatted text (machine-readable CSV lines are embedded
-//! where useful). Runs are cached in a [`Suite`] so artifacts sharing
-//! configurations (Figure 1, Tables 2 and 3) reuse them.
+//! [`run`] takes the union of the selected artifacts' cells and runs each
+//! distinct spec once through [`campaign::run`] — Figure 1, Tables 2–4,
+//! the latency table and the ablations share their common configurations
+//! — then prints the renders. The cells keep [`RunSpec::new`]'s fixed
+//! seed, so the numbers do not depend on which artifacts ran together.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use cvm_apps::{AppId, Scale, WaterNsqOpt};
+use cvm_apps::{AppId, Scale, Variant, WaterNsqOpt};
+use cvm_dsm::ProtocolKind;
 use cvm_net::MsgClass;
 
-use crate::runner::{pct_change, run_app, run_water_nsq_variant, RunOutcome, RunSpec};
+use crate::cli::{Args, CliError};
+use crate::runner::{grid, pct_change, run_app, RunOutcome, RunSpec};
+use crate::{campaign, micro};
 
 /// Thread levels evaluated by the paper.
 pub const THREADS: [usize; 4] = [1, 2, 3, 4];
 
-/// A memoized collection of runs.
-#[derive(Debug, Default)]
-pub struct Suite {
-    scale: Scale,
-    runs: HashMap<(AppId, usize, usize, bool), RunOutcome>,
-    nsq: HashMap<(WaterNsqOpt, usize), RunOutcome>,
+/// One artifact: its command name, the cells it reads (in row order) and
+/// its renderer over their outcomes.
+pub type Table = (
+    &'static str,
+    fn(Scale) -> Vec<RunSpec>,
+    fn(&Runs, Scale) -> String,
+);
+
+/// Every table artifact by command name, in `all` order; `all` stops
+/// before `perturb`, whose re-seeded cells run on demand only.
+pub static TABLES: [Table; 12] = [
+    (
+        "micro",
+        |_| Vec::new(),
+        |_, _| micro::render(&micro::report()),
+    ),
+    ("table1", |_| Vec::new(), table1),
+    ("fig1", fig1_cells, fig1),
+    ("table2", p8_cells, table2),
+    ("table3", p8_cells, table3),
+    ("fig2", fig2_cells, fig2),
+    ("table4", table4_cells, table4),
+    ("table5", table5_cells, table5),
+    ("latency", latency_cells, latency),
+    ("ablation", ablation_cells, ablation),
+    ("protocols", protocols_cells, protocols),
+    ("perturb", perturb_cells, perturb),
+];
+
+/// Parses a table command: the artifacts it prints and the input scale.
+pub fn parse(cmd: &str, argv: &[String]) -> Result<(&'static [Table], Scale), CliError> {
+    let mut scale = Scale::Small;
+    let mut args = Args::new(cmd, argv);
+    args.each(|a| match a.flag() {
+        "--paper-scale" => {
+            scale = Scale::Paper;
+            Ok(())
+        }
+        _ => Err(a.unknown()),
+    })?;
+    let selected = match cmd {
+        "all" => &TABLES[..TABLES.len() - 1],
+        _ => match TABLES.iter().position(|t| t.0 == cmd) {
+            Some(i) => &TABLES[i..=i],
+            None => return Err(args.usage("unknown command")),
+        },
+    };
+    Ok((selected, scale))
 }
 
-impl Suite {
-    /// Creates an empty suite at the given scale.
-    pub fn new(scale: Scale) -> Self {
-        Suite {
-            scale,
-            ..Default::default()
+/// Runs the selected artifacts' cells, each distinct spec once on one
+/// worker per core, and prints the renders separated by blank lines.
+pub fn run((tables, scale): (&[Table], Scale)) -> Result<(), CliError> {
+    let runs = Runs::run(cells(tables, scale), 0);
+    let rendered: Vec<String> = tables.iter().map(|t| (t.2)(&runs, scale)).collect();
+    print!("{}", rendered.join("\n"));
+    Ok(())
+}
+
+/// Every cell `tables` read, in order, duplicates included.
+fn cells(tables: &[Table], scale: Scale) -> Vec<RunSpec> {
+    tables.iter().flat_map(|t| (t.1)(scale)).collect()
+}
+
+/// `cells` with every repeat of an earlier spec dropped.
+fn distinct(cells: Vec<RunSpec>) -> Vec<RunSpec> {
+    let mut out: Vec<RunSpec> = Vec::with_capacity(cells.len());
+    for spec in cells {
+        if !out.contains(&spec) {
+            out.push(spec);
         }
     }
+    out
+}
 
-    /// The problem scale in force.
-    pub fn scale(&self) -> Scale {
-        self.scale
+/// The outcomes of one table campaign, found by the spec that made them.
+#[derive(Debug, Default)]
+pub struct Runs(Vec<RunOutcome>);
+
+impl Runs {
+    /// Runs each distinct spec of `cells` once through [`campaign::run`]
+    /// on `workers` host threads (0 = one per core).
+    pub fn run(cells: Vec<RunSpec>, workers: usize) -> Runs {
+        let (cells, run) = (distinct(cells), |_, spec| run_app(spec));
+        Runs(campaign::run(
+            "cvm",
+            workers,
+            cells,
+            RunOutcome::done_label,
+            run,
+        ))
     }
 
-    /// Fetches (running on demand) one configuration.
-    pub fn run(&mut self, app: AppId, nodes: usize, threads: usize, memsim: bool) -> &RunOutcome {
-        let key = (app, nodes, threads, memsim);
-        let scale = self.scale;
-        self.runs.entry(key).or_insert_with(|| {
-            let mut spec = RunSpec::new(app, scale, nodes, threads);
-            spec.memsim = memsim;
-            eprintln!("[cvm] running {app} P={nodes} T={threads} memsim={memsim}");
-            run_app(spec)
-        })
+    /// The outcome of `spec`.
+    ///
+    /// # Panics
+    ///
+    /// If `spec` was not run: a render read a cell its table does not list.
+    pub fn get(&self, spec: RunSpec) -> &RunOutcome {
+        let found = self.0.iter().find(|o| o.spec == spec);
+        found.unwrap_or_else(|| panic!("cell not listed by its table: {spec:?}"))
     }
+}
 
-    /// Fetches (running on demand) one Water-Nsq variant at 8 processors.
-    pub fn run_nsq(&mut self, opt: WaterNsqOpt, threads: usize) -> &RunOutcome {
-        let scale = self.scale;
-        self.nsq.entry((opt, threads)).or_insert_with(|| {
-            let spec = RunSpec::new(AppId::WaterNsq, scale, 8, threads);
-            eprintln!("[cvm] running Water-Nsq {opt:?} P=8 T={threads}");
-            run_water_nsq_variant(spec, opt)
-        })
-    }
+/// Every spec of `specs` replaced by the specs `f` makes of it.
+fn each<const N: usize>(specs: Vec<RunSpec>, f: impl Fn(RunSpec) -> [RunSpec; N]) -> Vec<RunSpec> {
+    specs.into_iter().flat_map(f).collect()
 }
 
 /// Table 1: application specifics.
-pub fn table1(scale: Scale) -> String {
+pub fn table1(_: &Runs, scale: Scale) -> String {
     let mut out = String::from(
         "== Table 1: Application specifics ==\n\
          app        input set            sync type       modifications\n",
@@ -84,259 +155,266 @@ pub fn table1(scale: Scale) -> String {
     out
 }
 
+fn fig1_cells(scale: Scale) -> Vec<RunSpec> {
+    grid(scale, &AppId::ALL, &[4, 8], &THREADS)
+}
+
 /// Figure 1: normalized execution time on 4 and 8 processors, split into
 /// user / barrier / fault / lock components (each bar normalized to the
 /// single-threaded run of the same processor count).
-pub fn fig1(suite: &mut Suite) -> String {
+pub fn fig1(runs: &Runs, scale: Scale) -> String {
     let mut out = String::from(
         "== Figure 1: Normalized execution time (user/barrier/fault/lock) ==\n\
          app          P  T   total   user  barrier  fault   lock\n",
     );
-    for app in AppId::ALL {
-        for nodes in [4usize, 8] {
-            let base = suite.run(app, nodes, 1, false).time_ms();
-            for t in THREADS {
-                if !app.supports_threads(t) {
-                    continue;
-                }
-                let o = suite.run(app, nodes, t, false);
-                let total = o.time_ms() / base;
-                let scale = o.time_ms() / base; // bar height
-                let user = o.report.fraction(|n| n.user) * scale;
-                let barrier = o.report.fraction(|n| n.barrier) * scale;
-                let fault = o.report.fraction(|n| n.fault) * scale;
-                let lock = o.report.fraction(|n| n.lock) * scale;
-                let _ = writeln!(
-                    out,
-                    "{:<12} {:>2} {:>2}  {:>6.3}  {:>5.3}  {:>6.3}  {:>5.3}  {:>5.3}",
-                    app.name(),
-                    nodes,
-                    t,
-                    total,
-                    user,
-                    barrier,
-                    fault,
-                    lock
-                );
-            }
-        }
+    for spec in fig1_cells(scale) {
+        let o = runs.get(spec);
+        let total = o.time_ms() / runs.get(RunSpec { threads: 1, ..spec }).time_ms();
+        let _ = writeln!(
+            out,
+            "{:<12} {:>2} {:>2}  {:>6.3}  {:>5.3}  {:>6.3}  {:>5.3}  {:>5.3}",
+            spec.app.name(),
+            spec.nodes,
+            spec.threads,
+            total,
+            o.report.fraction(|n| n.user) * total,
+            o.report.fraction(|n| n.barrier) * total,
+            o.report.fraction(|n| n.fault) * total,
+            o.report.fraction(|n| n.lock) * total,
+        );
     }
     out
 }
 
+/// The P=8 runs of Tables 2 and 3.
+fn p8_cells(scale: Scale) -> Vec<RunSpec> {
+    grid(scale, &AppId::ALL, &[8], &THREADS)
+}
+
 /// Table 2: communication performance on 8 processors.
-pub fn table2(suite: &mut Suite) -> String {
+pub fn table2(runs: &Runs, scale: Scale) -> String {
     let mut out = String::from(
         "== Table 2: Communication performance (P=8) ==\n\
          app          T  delay_barrier(ms) delay_lock(ms) delay_diff(ms) \
          msgs_barrier msgs_lock msgs_diff msgs_total bw_kbytes\n",
     );
-    for app in AppId::ALL {
-        for t in THREADS {
-            if !app.supports_threads(t) {
-                continue;
-            }
-            let o = suite.run(app, 8, t, false);
-            let _ = writeln!(
-                out,
-                "{:<12} {:>2} {:>17.0} {:>14.0} {:>14.0} {:>12} {:>9} {:>9} {:>10} {:>9}",
-                app.name(),
-                t,
-                o.delay_ms(MsgClass::Barrier),
-                o.delay_ms(MsgClass::Lock),
-                o.delay_ms(MsgClass::Diff),
-                o.msgs(MsgClass::Barrier),
-                o.msgs(MsgClass::Lock),
-                o.msgs(MsgClass::Diff),
-                o.total_msgs(),
-                o.bw_kb()
-            );
-        }
+    for spec in p8_cells(scale) {
+        let o = runs.get(spec);
+        let _ = writeln!(
+            out,
+            "{:<12} {:>2} {:>17.0} {:>14.0} {:>14.0} {:>12} {:>9} {:>9} {:>10} {:>9}",
+            spec.app.name(),
+            spec.threads,
+            o.delay_ms(MsgClass::Barrier),
+            o.delay_ms(MsgClass::Lock),
+            o.delay_ms(MsgClass::Diff),
+            o.msgs(MsgClass::Barrier),
+            o.msgs(MsgClass::Lock),
+            o.msgs(MsgClass::Diff),
+            o.total_msgs(),
+            o.bw_kb()
+        );
     }
     out
 }
 
 /// Table 3: DSM actions on 8 processors.
-pub fn table3(suite: &mut Suite) -> String {
+pub fn table3(runs: &Runs, scale: Scale) -> String {
     let mut out = String::from(
         "== Table 3: DSM actions (P=8) ==\n\
          app          T  switches rem_faults rem_locks out_faults out_locks \
          bs_page bs_lock diffs_created diffs_used\n",
     );
-    for app in AppId::ALL {
-        for t in THREADS {
-            if !app.supports_threads(t) {
-                continue;
-            }
-            let o = suite.run(app, 8, t, false);
-            let s = &o.report.stats;
-            let _ = writeln!(
-                out,
-                "{:<12} {:>2} {:>9} {:>10} {:>9} {:>10} {:>9} {:>7} {:>7} {:>13} {:>10}",
-                app.name(),
-                t,
-                s.thread_switches,
-                s.remote_faults,
-                s.remote_locks,
-                s.outstanding_faults,
-                s.outstanding_locks,
-                s.block_same_page,
-                s.block_same_lock,
-                s.diffs_created,
-                s.diffs_used
-            );
-        }
+    for spec in p8_cells(scale) {
+        let s = &runs.get(spec).report.stats;
+        let _ = writeln!(
+            out,
+            "{:<12} {:>2} {:>9} {:>10} {:>9} {:>10} {:>9} {:>7} {:>7} {:>13} {:>10}",
+            spec.app.name(),
+            spec.threads,
+            s.thread_switches,
+            s.remote_faults,
+            s.remote_locks,
+            s.outstanding_faults,
+            s.outstanding_locks,
+            s.block_same_page,
+            s.block_same_lock,
+            s.diffs_created,
+            s.diffs_used
+        );
     }
     out
 }
 
+fn fig2_cells(scale: Scale) -> Vec<RunSpec> {
+    each(p8_cells(scale), |s| [RunSpec { memsim: true, ..s }])
+}
+
 /// Figure 2: memory-system misses on 8 processors (SP-2 configuration).
-pub fn fig2(suite: &mut Suite) -> String {
+pub fn fig2(runs: &Runs, scale: Scale) -> String {
     let mut out = String::from(
         "== Figure 2: Memory-system misses vs threads (P=8, SP-2 config) ==\n\
          app          T     dcache_misses  dtlb_misses  itlb_misses\n",
     );
-    for app in AppId::ALL {
-        for t in THREADS {
-            if !app.supports_threads(t) {
-                continue;
-            }
-            let o = suite.run(app, 8, t, true);
-            let m = o.report.mem;
-            let _ = writeln!(
-                out,
-                "{:<12} {:>2} {:>17} {:>12} {:>12}",
-                app.name(),
-                t,
-                m.dcache,
-                m.dtlb,
-                m.itlb
-            );
-        }
+    for spec in fig2_cells(scale) {
+        let m = runs.get(spec).report.mem;
+        let _ = writeln!(
+            out,
+            "{:<12} {:>2} {:>17} {:>12} {:>12}",
+            spec.app.name(),
+            spec.threads,
+            m.dcache,
+            m.dtlb,
+            m.itlb
+        );
     }
     out
 }
 
+/// Table 4 leaves Barnes out, as in the paper ("Barnes will not run with
+/// our default input size on sixteen processors"); its T=1 cells are the
+/// baselines.
+fn table4_cells(scale: Scale) -> Vec<RunSpec> {
+    use AppId::*;
+    let apps = [Fft, Ocean, Sor, Swm750, WaterSp, WaterNsq];
+    grid(scale, &apps, &[4, 8, 16], &[1, 2, 4])
+}
+
 /// Table 4: scalability — relative change (vs one thread) of traffic and
-/// protocol work at 4, 8 and 16 processors. Barnes is excluded, as in the
-/// paper ("Barnes will not run with our default input size on sixteen
-/// processors").
-pub fn table4(suite: &mut Suite) -> String {
-    let apps = [
-        AppId::Fft,
-        AppId::Ocean,
-        AppId::Sor,
-        AppId::Swm750,
-        AppId::WaterSp,
-        AppId::WaterNsq,
-    ];
+/// protocol work at 4, 8 and 16 processors.
+pub fn table4(runs: &Runs, scale: Scale) -> String {
     let mut out = String::from(
         "== Table 4: Scalability (change vs 1 thread) ==\n\
          app          P  T  total_msgs bw_kbytes rem_faults diffs_created\n",
     );
-    for app in apps {
-        for nodes in [4usize, 8, 16] {
-            let (bm, bb, bf, bd) = {
-                let base = suite.run(app, nodes, 1, false);
-                (
-                    base.total_msgs(),
-                    base.bw_kb(),
-                    base.report.stats.remote_faults,
-                    base.report.stats.diffs_created,
-                )
-            };
-            for t in [2usize, 4] {
-                if !app.supports_threads(t) {
-                    continue;
-                }
-                let o = suite.run(app, nodes, t, false);
-                let _ = writeln!(
-                    out,
-                    "{:<12} {:>2} {:>2} {:>9.0}% {:>8.0}% {:>9.0}% {:>12.0}%",
-                    app.name(),
-                    nodes,
-                    t,
-                    pct_change(bm, o.total_msgs()),
-                    pct_change(bb, o.bw_kb()),
-                    pct_change(bf, o.report.stats.remote_faults),
-                    pct_change(bd, o.report.stats.diffs_created)
-                );
-            }
-        }
+    for spec in table4_cells(scale).into_iter().filter(|s| s.threads > 1) {
+        let (base, o) = (runs.get(RunSpec { threads: 1, ..spec }), runs.get(spec));
+        let (bs, s) = (&base.report.stats, &o.report.stats);
+        let _ = writeln!(
+            out,
+            "{:<12} {:>2} {:>2} {:>9.0}% {:>8.0}% {:>9.0}% {:>12.0}%",
+            spec.app.name(),
+            spec.nodes,
+            spec.threads,
+            pct_change(base.total_msgs(), o.total_msgs()),
+            pct_change(base.bw_kb(), o.bw_kb()),
+            pct_change(bs.remote_faults, s.remote_faults),
+            pct_change(bs.diffs_created, s.diffs_created)
+        );
     }
     out
 }
 
+/// Table 5's three Water-Nsq programs at P=8, T=1..4.
+fn table5_cells(scale: Scale) -> Vec<RunSpec> {
+    use WaterNsqOpt::*;
+    let row = grid(scale, &[AppId::WaterNsq], &[8], &THREADS);
+    [NoOpts, LocalBarrier, BothOpts]
+        .into_iter()
+        .flat_map(|opt| {
+            let variant = Some(Variant::WaterNsq(opt));
+            each(row.clone(), |s| [RunSpec { variant, ..s }])
+        })
+        .collect()
+}
+
 /// Table 5: the Water-Nsq source-modification case study on 8 processors.
-pub fn table5(suite: &mut Suite) -> String {
+pub fn table5(runs: &Runs, scale: Scale) -> String {
     let mut out = String::from(
         "== Table 5: Water-Nsq optimizations (P=8) ==\n\
          variant       T  speedup  switches rem_faults rem_locks out_faults \
          out_locks bs_page bs_lock diffs_created diffs_used\n",
     );
-    for opt in [
-        WaterNsqOpt::NoOpts,
-        WaterNsqOpt::LocalBarrier,
-        WaterNsqOpt::BothOpts,
-    ] {
-        let base = suite.run_nsq(opt, 1).time_ms();
-        for t in THREADS {
-            let o = suite.run_nsq(opt, t);
-            let s = &o.report.stats;
-            let speedup = (base - o.time_ms()) / base * 100.0;
-            let name = match opt {
-                WaterNsqOpt::NoOpts => "NoOpts",
-                WaterNsqOpt::LocalBarrier => "LocalBarrier",
-                WaterNsqOpt::BothOpts => "BothOpts",
-            };
-            let _ = writeln!(
-                out,
-                "{:<13} {:>2} {:>7.1}% {:>8} {:>10} {:>9} {:>10} {:>9} {:>7} {:>7} {:>13} {:>10}",
-                name,
-                t,
-                speedup,
-                s.thread_switches,
-                s.remote_faults,
-                s.remote_locks,
-                s.outstanding_faults,
-                s.outstanding_locks,
-                s.block_same_page,
-                s.block_same_lock,
-                s.diffs_created,
-                s.diffs_used
-            );
-        }
+    for spec in table5_cells(scale) {
+        let Some(Variant::WaterNsq(opt)) = spec.variant else {
+            unreachable!("Table 5 lists Water-Nsq variants only")
+        };
+        let base = runs.get(RunSpec { threads: 1, ..spec }).time_ms();
+        let o = runs.get(spec);
+        let s = &o.report.stats;
+        let _ = writeln!(
+            out,
+            "{:<13} {:>2} {:>7.1}% {:>8} {:>10} {:>9} {:>10} {:>9} {:>7} {:>7} {:>13} {:>10}",
+            format!("{opt:?}"),
+            spec.threads,
+            (base - o.time_ms()) / base * 100.0,
+            s.thread_switches,
+            s.remote_faults,
+            s.remote_locks,
+            s.outstanding_faults,
+            s.outstanding_locks,
+            s.block_same_page,
+            s.block_same_lock,
+            s.diffs_created,
+            s.diffs_used
+        );
     }
     out
+}
+
+/// The applications of the ablation's first section and of the protocol
+/// comparison.
+const STUDY_APPS: [AppId; 3] = [AppId::Sor, AppId::Ocean, AppId::WaterNsq];
+
+/// The ablation's first section: each application with the full system,
+/// then with one mechanism switched off. Water-Nsq runs its unoptimized
+/// variant: only transparently multi-threaded code has the local lock
+/// contention that the release policy exists to exploit.
+fn mechanism_cells(scale: Scale) -> Vec<RunSpec> {
+    each(grid(scale, &STUDY_APPS, &[8], &[4]), |mut full| {
+        if full.app == AppId::WaterNsq {
+            full.variant = Some(Variant::WaterNsq(WaterNsqOpt::NoOpts));
+        }
+        let (mut no_aggregation, mut remote_first) = (full, full);
+        no_aggregation.aggregate_barriers = false;
+        remote_first.prefer_local_locks = false;
+        [full, no_aggregation, remote_first]
+    })
+}
+
+/// Ocean with and without the `r` reduction modification.
+fn reduction_cells(scale: Scale) -> Vec<RunSpec> {
+    let ocean = RunSpec::new(AppId::Ocean, scale, 8, 4);
+    let variant = Some(Variant::OceanWithoutReduction);
+    vec![ocean, RunSpec { variant, ..ocean }]
+}
+
+/// FIFO then LIFO scheduling under the memory simulator.
+fn scheduler_cells(scale: Scale) -> Vec<RunSpec> {
+    let apps = [AppId::Barnes, AppId::Ocean];
+    each(grid(scale, &apps, &[8], &[4]), |s| {
+        let fifo = RunSpec { memsim: true, ..s };
+        [fifo, RunSpec { lifo: true, ..fifo }]
+    })
+}
+
+fn ablation_cells(scale: Scale) -> Vec<RunSpec> {
+    [mechanism_cells, reduction_cells, scheduler_cells]
+        .iter()
+        .flat_map(|section| section(scale))
+        .collect()
 }
 
 /// Ablation study: switch off the paper's two multi-threading mechanisms
 /// one at a time (P=8, T=4) and report the damage. Regenerates the design
 /// rationale of §3: barrier-arrival aggregation and the local-queue lock
 /// release policy.
-pub fn ablation(scale: Scale) -> String {
-    use crate::runner::{run_app, run_water_nsq_variant};
+pub fn ablation(runs: &Runs, scale: Scale) -> String {
     let mut out = String::from(
         "== Ablation: the paper's multi-threading mechanisms (P=8, T=4) ==\n\
          app        variant                 time(ms)  barrier_msgs lock_msgs total_msgs  wait_lock(ms) wait_barrier(ms)\n",
     );
-    let emit = |app: AppId, name: &str, agg: bool, pref: bool, out: &mut String| {
-        let mut spec = RunSpec::new(app, scale, 8, 4);
-        spec.aggregate_barriers = agg;
-        spec.prefer_local_locks = pref;
-        eprintln!("[cvm] ablation {app} {name}");
-        // Water-Nsq runs its unoptimized variant here: only transparently
-        // multi-threaded code has the local lock contention that the
-        // release policy exists to exploit.
-        let o = if app == AppId::WaterNsq {
-            run_water_nsq_variant(spec, WaterNsqOpt::NoOpts)
-        } else {
-            run_app(spec)
+    for spec in mechanism_cells(scale) {
+        let name = match (spec.aggregate_barriers, spec.prefer_local_locks) {
+            (false, _) => "no barrier aggregation",
+            (_, false) => "no local-first release",
+            _ => "full system",
         };
+        let o = runs.get(spec);
         let _ = writeln!(
             out,
             "{:<10} {:<22} {:>9.1} {:>13} {:>9} {:>10} {:>14.0} {:>16.0}",
-            app.name(),
+            spec.app.name(),
             name,
             o.time_ms(),
             o.msgs(MsgClass::Barrier),
@@ -345,58 +423,50 @@ pub fn ablation(scale: Scale) -> String {
             o.delay_ms(MsgClass::Lock),
             o.delay_ms(MsgClass::Barrier),
         );
-    };
-    for app in [AppId::Sor, AppId::Ocean, AppId::WaterNsq] {
-        emit(app, "full system", true, true, &mut out);
-        emit(app, "no barrier aggregation", false, true, &mut out);
-        emit(app, "no local-first release", true, false, &mut out);
     }
     out.push_str("\n-- Ocean with/without the `r` reduction modification, P=8 T=4 --\n");
     out.push_str("variant                time(ms)  lock_msgs  bs_lock  wait_lock(ms)\n");
-    for (name, use_reduction) in [("local-barrier (r)", true), ("transparent MT", false)] {
-        let mut b = cvm_dsm::CvmBuilder::new({
-            let mut c = cvm_dsm::CvmConfig::paper(8, 4);
-            c.seed = 0x5EED_CAFE;
-            c
-        });
-        let body = cvm_apps::registry::build_ocean_variant(&mut b, scale, use_reduction);
-        eprintln!("[cvm] reduction ablation Ocean {name}");
-        let o = b.run(body);
+    for spec in reduction_cells(scale) {
+        let name = match spec.variant {
+            None => "local-barrier (r)",
+            Some(_) => "transparent MT",
+        };
+        let o = runs.get(spec);
         let _ = writeln!(
             out,
             "{:<22} {:>8.1} {:>10} {:>8} {:>13.0}",
             name,
-            o.total_ms(),
-            o.net.class_count(MsgClass::Lock),
-            o.stats.block_same_lock,
-            o.stats.wait_lock.as_ms_f64(),
+            o.time_ms(),
+            o.msgs(MsgClass::Lock),
+            o.report.stats.block_same_lock,
+            o.delay_ms(MsgClass::Lock),
         );
     }
     out.push_str(
         "\n-- FIFO vs LIFO scheduling (the paper's missing memory-conscious policy), P=8 T=4, memsim on --\n",
     );
     out.push_str("app        policy   time(ms)  dcache_misses  dtlb_misses  itlb_misses\n");
-    for app in [AppId::Barnes, AppId::Ocean] {
-        for (name, lifo) in [("FIFO", false), ("LIFO", true)] {
-            let mut spec = RunSpec::new(app, scale, 8, 4);
-            spec.memsim = true;
-            spec.lifo = lifo;
-            eprintln!("[cvm] scheduler ablation {app} {name}");
-            let o = run_app(spec);
-            let m = o.report.mem;
-            let _ = writeln!(
-                out,
-                "{:<10} {:<8} {:>8.1} {:>14} {:>12} {:>12}",
-                app.name(),
-                name,
-                o.time_ms(),
-                m.dcache,
-                m.dtlb,
-                m.itlb
-            );
-        }
+    for spec in scheduler_cells(scale) {
+        let o = runs.get(spec);
+        let m = o.report.mem;
+        let _ = writeln!(
+            out,
+            "{:<10} {:<8} {:>8.1} {:>14} {:>12} {:>12}",
+            spec.app.name(),
+            if spec.lifo { "LIFO" } else { "FIFO" },
+            o.time_ms(),
+            m.dcache,
+            m.dtlb,
+            m.itlb
+        );
     }
     out
+}
+
+fn protocols_cells(scale: Scale) -> Vec<RunSpec> {
+    each(grid(scale, &STUDY_APPS, &[8], &[2]), |s| {
+        ProtocolKind::ALL.map(|protocol| RunSpec { protocol, ..s })
+    })
 }
 
 /// Protocol comparison: the paper's lazy multi-writer protocol against
@@ -405,50 +475,43 @@ pub fn ablation(scale: Scale) -> String {
 /// latency for bandwidth; eager update removes most read faults but
 /// multiplies traffic with the copyset size — the classic result that
 /// motivated lazy release consistency.
-pub fn protocols(scale: Scale) -> String {
-    use crate::runner::run_app;
-    use cvm_dsm::ProtocolKind;
+pub fn protocols(runs: &Runs, scale: Scale) -> String {
     let mut out = String::from("== Protocol comparison (P=8, T=2) ==\n");
     out.push_str(
         "app        protocol            time(ms) rem_faults diff_msgs  pushes  drops bw_kbytes\n",
     );
-    for app in [AppId::Sor, AppId::Ocean, AppId::WaterNsq] {
-        for proto in ProtocolKind::ALL {
-            let mut spec = RunSpec::new(app, scale, 8, 2);
-            spec.protocol = proto;
-            eprintln!("[cvm] protocol {app} {proto}");
-            let o = run_app(spec);
-            let _ = writeln!(
-                out,
-                "{:<10} {:<18} {:>9.1} {:>10} {:>9} {:>7} {:>6} {:>9}",
-                app.name(),
-                proto.name(),
-                o.time_ms(),
-                o.report.stats.remote_faults,
-                o.msgs(MsgClass::Diff),
-                o.report.stats.updates_pushed,
-                o.report.stats.copies_dropped,
-                o.bw_kb()
-            );
-        }
+    for spec in protocols_cells(scale) {
+        let o = runs.get(spec);
+        let _ = writeln!(
+            out,
+            "{:<10} {:<18} {:>9.1} {:>10} {:>9} {:>7} {:>6} {:>9}",
+            spec.app.name(),
+            spec.protocol.name(),
+            o.time_ms(),
+            o.report.stats.remote_faults,
+            o.msgs(MsgClass::Diff),
+            o.report.stats.updates_pushed,
+            o.report.stats.copies_dropped,
+            o.bw_kb()
+        );
     }
     out
+}
+
+fn latency_cells(scale: Scale) -> Vec<RunSpec> {
+    grid(scale, &AppId::ALL, &[8], &[2])
 }
 
 /// Latency percentiles: p50/p99/p999/max of every latency-bearing
 /// protocol histogram, one markdown table over the whole suite at
 /// P=8 T=2. The log₂ histograms behind the sweep's p90 columns carry
 /// the full distribution; this renders the tail the mean hides.
-pub fn latency(suite: &mut Suite) -> String {
+pub fn latency(runs: &Runs, scale: Scale) -> String {
     let mut out = String::from("== Latency percentiles (P=8, T=2) ==\n\n");
     out.push_str("| app | metric | count | p50 | p99 | p999 | max |\n");
     out.push_str("|---|---|---:|---:|---:|---:|---:|\n");
-    for app in AppId::ALL {
-        if !app.supports_threads(2) {
-            continue;
-        }
-        let o = suite.run(app, 8, 2, false);
-        let h = o.report.hist.clone();
+    for spec in latency_cells(scale) {
+        let h = &runs.get(spec).report.hist;
         for (metric, hist) in [
             ("fault fetch (ns)", &h.fault_fetch_ns),
             ("lock 2-hop (ns)", &h.lock_2hop_ns),
@@ -462,7 +525,7 @@ pub fn latency(suite: &mut Suite) -> String {
             let _ = writeln!(
                 out,
                 "| {} | {} | {} | {} | {} | {} | {} |",
-                app.name(),
+                spec.app.name(),
                 metric,
                 hist.count(),
                 hist.p50(),
@@ -475,6 +538,19 @@ pub fn latency(suite: &mut Suite) -> String {
     out
 }
 
+/// The perturbation study's re-seeded, jittered copies of `spec`.
+fn perturb_seeds(spec: RunSpec) -> [RunSpec; 5] {
+    [0, 1, 2, 3, 4].map(|s| RunSpec {
+        seed: 0x5EED_0000 + s,
+        jitter_us: 50,
+        ..spec
+    })
+}
+
+fn perturb_cells(scale: Scale) -> Vec<RunSpec> {
+    each(grid(scale, &AppId::ALL, &[8], &[4]), perturb_seeds)
+}
+
 /// Perturbation study: the paper lists "application perturbation —
 /// multi-threading changes the order that events occur... a
 /// non-deterministic effect on performance" among its limiting factors.
@@ -482,42 +558,30 @@ pub fn latency(suite: &mut Suite) -> String {
 /// measurable: run each application with seeded ±50 µs wire jitter (which
 /// reorders message deliveries exactly like real-network variance) and
 /// report the spread of total time and key protocol actions.
-pub fn perturb(scale: Scale, seeds: usize) -> String {
-    use crate::runner::run_app;
+pub fn perturb(runs: &Runs, scale: Scale) -> String {
     let mut out = String::from("== Perturbation across seeds (P=8, T=4) ==\n");
     out.push_str(
         "app          seeds  time_min(ms) time_med(ms) time_max(ms) spread  faults_min faults_max\n",
     );
-    for app in AppId::ALL {
-        if !app.supports_threads(4) {
-            continue;
-        }
-        let mut times = Vec::new();
-        let mut faults = Vec::new();
-        for s in 0..seeds {
-            let mut spec = RunSpec::new(app, scale, 8, 4);
-            spec.seed = 0x5EED_0000 + s as u64;
-            spec.jitter_us = 50;
-            eprintln!("[cvm] perturb {app} seed {s}");
-            let o = run_app(spec);
-            times.push(o.time_ms());
-            faults.push(o.report.stats.remote_faults);
-        }
+    for spec in grid(scale, &AppId::ALL, &[8], &[4]) {
+        let seeded = perturb_seeds(spec).map(|s| runs.get(s));
+        let mut times = seeded.map(RunOutcome::time_ms);
+        let mut faults = seeded.map(|o| o.report.stats.remote_faults);
         times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         faults.sort_unstable();
-        let med = times[times.len() / 2];
-        let spread = (times[times.len() - 1] - times[0]) / med * 100.0;
+        let (n, med) = (times.len(), times[times.len() / 2]);
+        let spread = (times[n - 1] - times[0]) / med * 100.0;
         let _ = writeln!(
             out,
             "{:<12} {:>5} {:>13.1} {:>12.1} {:>12.1} {:>6.1}% {:>10} {:>10}",
-            app.name(),
-            seeds,
+            spec.app.name(),
+            n,
             times[0],
             med,
-            times[times.len() - 1],
+            times[n - 1],
             spread,
             faults[0],
-            faults[faults.len() - 1],
+            faults[n - 1],
         );
     }
     out
@@ -529,7 +593,7 @@ mod tests {
 
     #[test]
     fn table1_lists_all_apps() {
-        let t = table1(Scale::Small);
+        let t = table1(&Runs::default(), Scale::Small);
         for id in AppId::ALL {
             assert!(t.contains(id.name()), "missing {id}");
         }
@@ -537,13 +601,37 @@ mod tests {
 
     #[test]
     fn latency_table_renders_markdown_percentiles() {
-        let mut suite = Suite::new(Scale::Small);
-        let t = latency(&mut suite);
+        let runs = Runs::run(latency_cells(Scale::Small), 0);
+        let t = latency(&runs, Scale::Small);
         assert!(t.contains("| app | metric | count | p50 | p99 | p999 | max |"));
         assert!(t.contains("fault fetch (ns)"));
         // Every body row is a well-formed markdown table row.
         for line in t.lines().filter(|l| l.starts_with("| ")) {
             assert_eq!(line.matches('|').count(), 8, "bad row: {line}");
         }
+    }
+
+    /// Each artifact renders from exactly the cells it lists (a render
+    /// that reads any other cell panics in `Runs::get`), and the same
+    /// bytes at one worker and at three.
+    #[test]
+    fn every_table_renders_from_its_own_cells_at_any_worker_count() {
+        let scale = Scale::Tiny;
+        let union = cells(&TABLES, scale);
+        let (serial, parallel) = (Runs::run(union.clone(), 1), Runs::run(union, 3));
+        for (name, cells, render) in &TABLES {
+            let listed = cells(scale);
+            let own = |runs: &Runs| {
+                let mine = runs.0.iter().filter(|o| listed.contains(&o.spec));
+                render(&Runs(mine.cloned().collect()), scale)
+            };
+            assert_eq!(own(&serial), own(&parallel), "{name}");
+        }
+    }
+
+    #[test]
+    fn all_runs_126_distinct_cells() {
+        let all = parse("all", &[]).expect("all parses").0;
+        assert_eq!(distinct(cells(all, Scale::Small)).len(), 126);
     }
 }

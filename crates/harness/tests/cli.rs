@@ -14,7 +14,7 @@ use cvm_harness::run_cli::{self, RunCmd};
 use cvm_harness::runner::RunSpec;
 use cvm_harness::sweep::SweepConfig;
 use cvm_harness::sweep_cli::{self, FaultsCmd, SweepCmd};
-use cvm_harness::{check_cli, serve_cli};
+use cvm_harness::{check_cli, serve_cli, tables};
 
 fn argv(line: &str) -> Vec<String> {
     line.split_whitespace().map(str::to_owned).collect()
@@ -32,7 +32,7 @@ fn parse(line: &str) -> Result<(), CliError> {
         "serve" => serve_cli::parse(rest).map(drop),
         "check" => check_cli::parse(rest).map(drop),
         "explain" => explain::parse(rest).map(drop),
-        other => panic!("no parser for {other}"),
+        table => tables::parse(table, rest).map(drop),
     }
 }
 
@@ -430,6 +430,7 @@ fn zero_counts_are_rejected_not_panicked_on() {
 fn unknown_things_name_the_offender() {
     for (line, want) in [
         ("sweep --bogus", "cvm sweep: unknown flag \"--bogus\""),
+        ("fig1 --small", "cvm fig1: unknown flag \"--small\""),
         (
             "run sor --json out.json extra",
             "cvm run: unknown flag \"extra\"",

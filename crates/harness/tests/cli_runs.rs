@@ -1,9 +1,12 @@
 //! The `cvm` binary end to end, on command lines that get past the flag
 //! parser: bad values in a serve deck come back as one line and exit 1,
-//! and `--host-time` adds a table to stderr and changes nothing else.
+//! `--host-time` adds a table to stderr and changes nothing else, and
+//! `cvm explain` reads a doctored report without panicking.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use cvm_sim::json::JsonValue;
 
 fn cvm(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cvm"))
@@ -130,5 +133,59 @@ fn host_time_goes_to_stderr_and_nowhere_else() {
     // A subcommand that never builds a driver does not take the flag.
     let out = cvm(&["explain", "--run", &plain, "--host-time"]);
     assert_eq!(out.status.code(), Some(2));
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
+}
+
+/// The field `key` of a JSON object, for doctoring a report.
+fn field<'a>(v: &'a mut JsonValue, key: &str) -> &'a mut JsonValue {
+    let JsonValue::Object(fields) = v else {
+        panic!("{key}: not an object");
+    };
+    &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
+}
+
+fn items(v: &mut JsonValue) -> &mut Vec<JsonValue> {
+    let JsonValue::Array(items) = v else {
+        panic!("not an array");
+    };
+    items
+}
+
+/// `cvm explain --span` on a report with a parent id it does not hold
+/// (the chain stops there), and with a retried hop whose send time is
+/// after its transmit time (the backoff is zero, not a wrapped u64).
+#[test]
+fn explain_survives_a_dangling_parent_and_a_backwards_hop() {
+    let dir = scratch("explain");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 path").to_owned();
+    let (report, doctored) = (path("report.json"), path("doctored.json"));
+    let run = ["run", "ocean", "--nodes", "2", "--threads", "2", "--spans"];
+    assert!(cvm(&[&run[..], &["--json", &report]].concat())
+        .status
+        .success());
+    let text = std::fs::read_to_string(&report).expect("report written");
+    let mut doc = JsonValue::parse(&text).expect("report parses");
+    let records = items(field(field(&mut doc, "spans"), "records"));
+    let id = |r: &JsonValue| r.get("id").and_then(JsonValue::as_u64).expect("id");
+    let three = records.iter_mut().find(|r| id(r) == 3).expect("span 3");
+    *field(three, "parent") = JsonValue::from(987_654_321u64);
+    let has_hops = |r: &&mut JsonValue| {
+        r.get("hops")
+            .and_then(JsonValue::as_array)
+            .is_some_and(|h| !h.is_empty())
+    };
+    let hopper = records.iter_mut().find(has_hops).expect("a span with hops");
+    let hopper_id = id(hopper);
+    let hop = &mut items(field(hopper, "hops"))[0];
+    let tx = hop.get("tx_ns").and_then(JsonValue::as_u64).expect("tx_ns");
+    hop.set("sent_ns", tx + 1000).set("retries", 1u64);
+    std::fs::write(&doctored, doc.to_pretty()).expect("doctored report written");
+    for (span, want) in [(3, "span 3 "), (hopper_id, "(1 retries, backoff 0ns)")] {
+        let out = cvm(&["explain", "--run", &doctored, "--span", &span.to_string()]);
+        let stdout = String::from_utf8(out.stdout).expect("utf-8");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8");
+        assert_eq!(out.status.code(), Some(0), "span {span}: {stderr}");
+        assert!(stdout.contains(want), "span {span}:\n{stdout}");
+    }
     std::fs::remove_dir_all(&dir).expect("temp dir removed");
 }

@@ -131,8 +131,8 @@ fn runner_outcome_accessors_are_consistent() {
 
 #[test]
 fn table_emitters_mention_every_app() {
-    use cvm_harness::tables;
-    let t1 = tables::table1(Scale::Small);
+    use cvm_harness::tables::{self, Runs};
+    let t1 = tables::table1(&Runs::default(), Scale::Small);
     for app in AppId::ALL {
         assert!(t1.contains(app.name()), "table1 missing {app}");
     }

@@ -3,12 +3,20 @@
 //! flat. All run at laptop scale under the paper network.
 
 use cvm_apps::water_nsq::WaterNsqOpt;
-use cvm_apps::{AppId, Scale};
-use cvm_harness::runner::{run_app, run_water_nsq_variant, RunSpec};
+use cvm_apps::{AppId, Scale, Variant};
+use cvm_harness::runner::{run_app, RunOutcome, RunSpec};
 use cvm_net::MsgClass;
 
-fn run(app: AppId, nodes: usize, threads: usize) -> cvm_harness::RunOutcome {
+fn run(app: AppId, nodes: usize, threads: usize) -> RunOutcome {
     run_app(RunSpec::new(app, Scale::Small, nodes, threads))
+}
+
+/// One of Table 5's Water-Nsq programs at P=8.
+fn nsq(opt: WaterNsqOpt, threads: usize) -> RunOutcome {
+    run_app(RunSpec {
+        variant: Some(Variant::WaterNsq(opt)),
+        ..RunSpec::new(AppId::WaterNsq, Scale::Small, 8, threads)
+    })
 }
 
 /// "There is essentially no change in the number of lock messages as the
@@ -75,9 +83,8 @@ fn request_overlap_appears_with_threads() {
 /// entirely ("we never had multiple threads block on the same lock").
 #[test]
 fn water_nsq_opts_eliminate_block_same_lock() {
-    let spec = RunSpec::new(AppId::WaterNsq, Scale::Small, 8, 4);
-    let noopt = run_water_nsq_variant(spec, WaterNsqOpt::NoOpts);
-    let both = run_water_nsq_variant(spec, WaterNsqOpt::BothOpts);
+    let noopt = nsq(WaterNsqOpt::NoOpts, 4);
+    let both = nsq(WaterNsqOpt::BothOpts, 4);
     assert!(
         noopt.report.stats.block_same_lock > 0,
         "NoOpts must show local lock contention"
@@ -99,9 +106,8 @@ fn water_nsq_opts_eliminate_block_same_lock() {
 /// worsens the run (the paper saw a small win for two threads).
 #[test]
 fn read_reordering_helps_block_same_page() {
-    let spec = RunSpec::new(AppId::WaterNsq, Scale::Small, 8, 2);
-    let lb = run_water_nsq_variant(spec, WaterNsqOpt::LocalBarrier);
-    let both = run_water_nsq_variant(spec, WaterNsqOpt::BothOpts);
+    let lb = nsq(WaterNsqOpt::LocalBarrier, 2);
+    let both = nsq(WaterNsqOpt::BothOpts, 2);
     assert!(
         both.report.stats.block_same_page <= lb.report.stats.block_same_page,
         "reordering should not increase BSP: {} vs {}",
