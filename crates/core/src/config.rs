@@ -7,6 +7,10 @@ use cvm_sim::{PickPolicy, SimDuration};
 use crate::oracle::{FindingSink, InjectFault};
 use crate::protocol::ProtocolKind;
 
+/// The master seed of a run that is not given its own: the paper tables'
+/// cells, the sweep's default master seed and `cvm check`'s runs.
+pub const DEFAULT_SEED: u64 = 0x5EED_CAFE;
+
 /// Complete configuration of a CVM run.
 ///
 /// The defaults reproduce the paper's environment: 8 KB coherence pages,
@@ -159,7 +163,7 @@ impl CvmConfig {
             faults: None,
             trace_capacity: 0,
             spans: false,
-            seed: 0x5EED_CAFE,
+            seed: DEFAULT_SEED,
             verify: false,
             verify_sink: FindingSink::new(),
             inject: None,

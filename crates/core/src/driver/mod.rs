@@ -409,6 +409,31 @@ fn make_protocol(kind: ProtocolKind) -> Box<dyn Coherence> {
     }
 }
 
+/// The wire `cfg` describes — jitter, loss, fault plan — drawing its
+/// streams from `rng` in that order. Used at start-up and again when the
+/// measured region begins.
+fn network(cfg: &CvmConfig, rng: &mut SimRng) -> NetworkSim<Payload> {
+    let mut net = NetworkSim::new(cfg.nodes, cfg.latency.clone());
+    if !cfg.jitter_max.is_zero() {
+        net.set_jitter(rng.derive(0x7177), cfg.jitter_max);
+    }
+    if let Some(loss) = cfg.loss {
+        net.enable_loss(rng.derive(0xDEAD), loss);
+    }
+    if let Some(plan) = cfg.faults.as_ref().filter(|p| !p.is_empty()) {
+        // A fault plan needs the reliability layer underneath; give it the
+        // default adaptive configuration if none was requested. The
+        // derives happen only for a non-empty plan, so `None` and
+        // `Some(empty)` produce byte-identical reports — no acks, no loss
+        // counters, untouched seed streams.
+        if cfg.loss.is_none() {
+            net.enable_loss(rng.derive(0xDEAD), cvm_net::LossConfig::clean_adaptive());
+        }
+        net.set_faults(rng.derive(0xFA17), plan.clone());
+    }
+    net
+}
+
 impl Driver {
     /// On a refused thread, returns with the threads spawned so far
     /// joined (`coop` is dropped) and nothing else left behind.
@@ -483,24 +508,7 @@ impl Driver {
                 cell.lock().track_steps = true;
             }
         }
-        let mut net = NetworkSim::new(nodes, cfg.latency.clone());
-        if !cfg.jitter_max.is_zero() {
-            net.set_jitter(rng.derive(0x7177), cfg.jitter_max);
-        }
-        if let Some(loss) = cfg.loss {
-            net.enable_loss(rng.derive(0xDEAD), loss);
-        }
-        if let Some(plan) = cfg.faults.as_ref().filter(|p| !p.is_empty()) {
-            // A fault plan needs the reliability layer underneath; give it
-            // the default adaptive configuration if none was requested.
-            // The derives happen only for a non-empty plan, so `None` and
-            // `Some(empty)` produce byte-identical reports — no acks, no
-            // loss counters, untouched seed streams.
-            if cfg.loss.is_none() {
-                net.enable_loss(rng.derive(0xDEAD), cvm_net::LossConfig::clean_adaptive());
-            }
-            net.set_faults(rng.derive(0xFA17), plan.clone());
-        }
+        let net = network(&cfg, &mut rng);
         let barrier_expected = if cfg.aggregate_barriers {
             nodes
         } else {
@@ -595,36 +603,20 @@ impl Driver {
             }
         }
         let unfinished = core.threads.len() - core.finished_total;
-        let failures = core.net.delivery_failures();
         // Unfinished threads with no abandoned traffic is a protocol bug
         // (a genuine deadlock) and still panics. Unfinished threads whose
         // traffic was abandoned at retry exhaustion is the structured
         // peer-unresponsive outcome: report it as degradation.
         assert!(
-            unfinished == 0 || !failures.is_empty(),
+            unfinished == 0 || !core.net.delivery_failures().is_empty(),
             "deadlock: {} of {} threads never finished (blocked on \
              unsatisfied synchronization)",
             unfinished,
             core.threads.len()
         );
         let t0 = core.host.start();
-        let mut report = core.build_report();
+        let report = core.build_report();
         core.host.stop(Seam::BuildReport, t0);
-        // The timing and bandwidth stats honor the measurement window (an
-        // `end_measured` snapshot excludes teardown traffic), but the
-        // reliability ledger is an accounting of the whole run: a snapshot
-        // taken with messages legitimately still in flight would read as
-        // unbalanced, so the final report always carries the final counters.
-        report.loss = core.net.loss_stats();
-        report.unfinished_threads = unfinished;
-        report.failures = failures;
-        // The step log and state fingerprint cover the *whole* run (an
-        // end-measure snapshot would miss post-measurement picks, and the
-        // model checker's equivalence is over terminal states).
-        if core.cfg.record_steps {
-            report.steps = core.steps.clone();
-            report.state_hash = core.state_fingerprint();
-        }
         report
     }
 }

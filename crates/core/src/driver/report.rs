@@ -1,23 +1,42 @@
-//! Report assembly: the single path that turns driver state into a
-//! [`RunReport`]. Reads every layer's counters; calls nothing.
+//! Report assembly: the only place a [`RunReport`] is put together from
+//! driver state. Reads every layer's counters; calls nothing.
 //!
 //! Both report producers — the `end_measure` snapshot taken while the run
 //! is still in flight, and the end-of-run report — go through
 //! [`DriverCore::snapshot_report`], which aggregates the per-node
 //! breakdowns with [`RunReport::breakdown_sum`] (the same primitive the
 //! sweep uses), so there is exactly one place where per-node time turns
-//! into system-wide statistics.
+//! into system-wide statistics. [`DriverCore::build_report`] then sets the
+//! fields that account for the whole run.
 
 use crate::report::{MemMisses, MemPeaks, RunReport};
 
 use super::DriverCore;
 
 impl DriverCore {
+    /// The end-of-run report: the `end_measure` snapshot if one was taken,
+    /// else the current state.
     pub(super) fn build_report(&mut self) -> RunReport {
-        if let Some(snap) = self.snapshot.take() {
-            return snap;
+        let mut report = match self.snapshot.take() {
+            Some(snap) => snap,
+            None => self.snapshot_report(),
+        };
+        // The timing and bandwidth stats honor the measurement window (an
+        // `end_measured` snapshot excludes teardown traffic), but the
+        // reliability ledger is an accounting of the whole run: a snapshot
+        // taken with messages legitimately still in flight would read as
+        // unbalanced, so the final report always carries the final counters.
+        report.loss = self.net.loss_stats();
+        report.unfinished_threads = self.threads.len() - self.finished_total;
+        report.failures = self.net.delivery_failures();
+        // The step log and state fingerprint cover the *whole* run (an
+        // end-measure snapshot would miss post-measurement picks, and the
+        // model checker's equivalence is over terminal states).
+        if self.cfg.record_steps {
+            report.steps = self.steps.take();
+            report.state_hash = self.state_fingerprint();
         }
-        self.snapshot_report()
+        report
     }
 
     /// Assembles a report from the current state.
@@ -54,7 +73,7 @@ impl DriverCore {
             stats,
             net: self.net.stats().clone(),
             loss: self.net.loss_stats(),
-            // Failures so far; the end-of-run path overwrites both fields
+            // Failures so far; `build_report` overwrites both fields
             // with the final values (this snapshot is taken mid-run, so
             // "unfinished" is not meaningful here).
             failures: self.net.delivery_failures(),

@@ -8,7 +8,6 @@
 //! (`close_interval`, `apply_notices`, `checked_merge`) but never into a
 //! specific protocol.
 
-use cvm_net::NetworkSim;
 use cvm_sim::{EventQueue, SimRng, VirtualTime};
 
 use cvm_memsim::MemSystem;
@@ -23,7 +22,7 @@ use crate::report::NodeBreakdown;
 use crate::span::{SpanKind, SpanResource};
 use crate::trace::TraceEvent;
 
-use super::{Coherence, DriverCore, MAX_LOCKS};
+use super::{network, Coherence, DriverCore, MAX_LOCKS};
 
 impl DriverCore {
     /// Extends the manager table and every node's lock table to cover
@@ -479,21 +478,7 @@ impl DriverCore {
         self.reduce_span.fill(0);
         self.lock_span.clear();
         proto.reset(self);
-        self.net = NetworkSim::new(self.cfg.nodes, self.cfg.latency.clone());
-        let mut rng = SimRng::seed_from(self.cfg.seed ^ 0xBEEF);
-        if !self.cfg.jitter_max.is_zero() {
-            self.net.set_jitter(rng.derive(0x7177), self.cfg.jitter_max);
-        }
-        if let Some(loss) = self.cfg.loss {
-            self.net.enable_loss(rng.derive(0xDEAD), loss);
-        }
-        if let Some(plan) = self.cfg.faults.as_ref().filter(|p| !p.is_empty()) {
-            if self.cfg.loss.is_none() {
-                self.net
-                    .enable_loss(rng.derive(0xDEAD), cvm_net::LossConfig::clean_adaptive());
-            }
-            self.net.set_faults(rng.derive(0xFA17), plan.clone());
-        }
+        self.net = network(&self.cfg, &mut SimRng::seed_from(self.cfg.seed ^ 0xBEEF));
         self.mainq = EventQueue::with_capacity(self.cfg.nodes * self.cfg.threads_per_node);
         for n in 0..self.cfg.nodes {
             self.ctl[n].sched.resume_scheduled = false;

@@ -71,7 +71,7 @@ pub mod stats;
 pub mod trace;
 
 pub use attr::{LockAttr, PageAttr, ResourceAttr};
-pub use config::CvmConfig;
+pub use config::{CvmConfig, DEFAULT_SEED};
 pub use ctx::{ReduceOp, ThreadCtx};
 pub use cvm_net::{FaultPlan, LatencyModel, PLAN_CATALOG};
 pub use diff::Diff;

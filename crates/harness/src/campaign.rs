@@ -1,9 +1,9 @@
 //! The one way to run a campaign: a grid of independent cells fanned over
 //! host worker threads, results back in grid order.
 //!
-//! `sweep`, `faults` and `serve` each keep only their grid (`specs()`),
-//! their cell function and their row/table emitters. Determinism is the
-//! callers' half of the bargain — every cell's seed is a pure function of
+//! The paper tables, `bench`, `sweep`, `faults`, `serve` and `check` keep
+//! only their grid, cell function and row/table emitters. Determinism is
+//! the callers' half of the bargain — every cell's seed is a pure function of
 //! its grid coordinates ([`workq::seed_split`]) — and this module's half
 //! is [`workq::run_indexed`]: results keyed by cell index, so a report is
 //! byte-identical at any worker count. Host wall-clock goes to stderr

@@ -1,13 +1,14 @@
-//! The `cvm check` subcommand: flag parsing, dispatch into the verify
-//! crate, and artifact output (the `BENCH_check.json` baseline and the
-//! replayable `cvm-schedule-<app>.json` counterexample files).
+//! The `cvm check` subcommand: flag parsing, the campaign of per-app
+//! [`check_app`] cells, and artifact output (the `BENCH_check.json`
+//! baseline and the replayable `cvm-schedule-<app>.json` counterexample
+//! files).
 
 use cvm_dsm::{InjectFault, ProtocolKind};
-use cvm_verify::check::schedule_file_name;
-use cvm_verify::{schedule_to_json, CheckOptions};
+use cvm_verify::check::{check_app, schedule_file_name};
+use cvm_verify::{schedule_to_json, AppCheck, CheckOptions, CheckReport};
 
 use crate::cli::{write_artifact, Args, CliError};
-use crate::{AppId, Scale};
+use crate::{campaign, AppId, Scale};
 
 /// Default output file for `cvm check --json` (committed under
 /// `baselines/` so the PR gate covers the exploration statistics).
@@ -26,15 +27,16 @@ pub struct CheckCmd {
 /// Parses `cvm check ARGS`.
 pub fn parse(argv: &[String]) -> Result<CheckCmd, CliError> {
     let mut options = CheckOptions::default();
-    let mut apps: Vec<AppId> = Vec::new();
+    // `None` stands for `all`.
+    let mut apps: Vec<Option<AppId>> = Vec::new();
     let mut out: Option<String> = None;
     let mut scale: Option<Scale> = None;
     let mut args = Args::new("check", argv);
     args.each(|a| {
         match a.flag() {
-            "--app" => apps.extend(a.named("app", |s| match s {
-                "all" => Some(AppId::ALL.to_vec()),
-                _ => AppId::parse(s).map(|app| vec![app]),
+            "--app" => apps.push(a.named("app", |s| match s {
+                "all" => Some(None),
+                _ => AppId::parse(s).map(Some),
             })?),
             "--protocol" => options.protocol = a.named("protocol", ProtocolKind::parse)?,
             "--nodes" => options.nodes = a.positive()?,
@@ -69,8 +71,11 @@ pub fn parse(argv: &[String]) -> Result<CheckCmd, CliError> {
         options.scale
     };
     options.scale = scale.unwrap_or(default_scale);
+    let named: Vec<AppId> = apps.iter().flatten().copied().collect();
+    args.supported(&named, &[options.threads])?;
     if !apps.is_empty() {
-        options.apps = apps;
+        let each = |a: Option<AppId>| a.map_or(AppId::ALL.to_vec(), |app| vec![app]);
+        options.apps = apps.into_iter().flat_map(each).collect();
     }
     options.apps.retain(|a| a.supports_threads(options.threads));
     Ok(CheckCmd { options, out })
@@ -102,7 +107,8 @@ pub fn run(c: CheckCmd) -> Result<(), CliError> {
         options.threads,
         options.protocol,
     );
-    let report = cvm_verify::check::run_check(options);
+    let report = run_campaign(c.options, 0);
+    let options = &report.options;
     print!("{}", report.render());
     // Every DPOR counterexample becomes a schedule file `cvm run --replay`
     // re-executes byte-identically (the render already points at it).
@@ -128,4 +134,15 @@ pub fn run(c: CheckCmd) -> Result<(), CliError> {
         "violations found"
     };
     Err(CliError::Failed(format!("[cvm check] FAIL: {why}")))
+}
+
+/// The check campaign: one [`check_app`] cell per application on
+/// `workers` host threads (0 = one per core), the report in app order.
+pub fn run_campaign(options: CheckOptions, workers: usize) -> CheckReport {
+    let label = |a: &AppCheck| format!("{} {}", a.app, if a.clean() { "ok" } else { "FAIL" });
+    let cells = options.apps.clone();
+    let apps = campaign::run("cvm check", workers, cells, label, |_, app| {
+        check_app(&options, app)
+    });
+    CheckReport { options, apps }
 }

@@ -211,6 +211,21 @@ impl<'a> Args<'a> {
             ))
         })
     }
+
+    /// The usage error for an application named on the command line that
+    /// runs at none of `threads` threads per node.
+    pub fn supported(&self, named: &[AppId], threads: &[usize]) -> Result<(), CliError> {
+        let runs = |a: &&AppId| threads.iter().any(|&t| a.supports_threads(t));
+        let Some(app) = named.iter().find(|a| !runs(a)) else {
+            return Ok(());
+        };
+        let threads: Vec<String> = threads.iter().map(usize::to_string).collect();
+        let msg = format!(
+            "{app} does not support {} threads per node",
+            threads.join(" or ")
+        );
+        Err(self.usage(msg))
+    }
 }
 
 /// Reads and parses a JSON file.

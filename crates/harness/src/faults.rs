@@ -19,13 +19,13 @@
 //! grid index — the report is **byte-identical at any worker count**.
 
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use cvm_apps::{build_app, AppId, Scale};
-use cvm_dsm::{CvmBuilder, CvmConfig, FindingSink, ProtocolKind, RunReport};
-use cvm_net::{FaultPlan, PLAN_CATALOG};
+use cvm_apps::{AppId, Scale};
+use cvm_dsm::{ProtocolKind, RunReport};
+use cvm_net::PLAN_CATALOG;
 use cvm_sim::json::JsonValue;
-use cvm_sim::workq;
+use cvm_sim::{workq, PickPolicy};
+use cvm_verify::{CheckedRun, RunPlan};
 
 use crate::bench::slug;
 
@@ -68,32 +68,14 @@ impl Default for FaultsConfig {
     }
 }
 
-/// One cell of the campaign grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultSpec {
-    /// Application under test.
-    pub app: AppId,
-    /// Coherence protocol.
-    pub protocol: ProtocolKind,
-    /// Named fault plan.
-    pub plan: &'static str,
-    /// Processors.
-    pub nodes: usize,
-    /// Threads per node.
-    pub threads: usize,
-    /// Problem scale.
-    pub scale: Scale,
-    /// Seed (split off the campaign master).
-    pub seed: u64,
-}
-
 impl FaultsConfig {
-    /// The grid cells this campaign will run, in report order.
+    /// The grid cells this campaign will run, in report order: each a
+    /// checked run over its named fault plan, with no trace.
     ///
     /// # Panics
     ///
     /// Panics if a plan name is not in [`PLAN_CATALOG`].
-    pub fn specs(&self) -> Vec<FaultSpec> {
+    pub fn specs(&self) -> Vec<RunPlan> {
         let mut specs = Vec::new();
         for &protocol in &self.protocols {
             for &app in &self.apps {
@@ -102,13 +84,15 @@ impl FaultsConfig {
                         PLAN_CATALOG.contains(&plan),
                         "unknown fault plan {plan:?} (see PLAN_CATALOG)"
                     );
-                    specs.push(FaultSpec {
+                    specs.push(RunPlan {
                         app,
-                        protocol,
-                        plan,
+                        scale: self.scale,
                         nodes: self.nodes,
                         threads: self.threads,
-                        scale: self.scale,
+                        protocol,
+                        inject: None,
+                        faults: Some(plan),
+                        trace_capacity: 0,
                         seed: workq::seed_split(self.seed, cell_salt(protocol, app, plan)),
                     });
                 }
@@ -140,17 +124,42 @@ fn cell_salt(protocol: ProtocolKind, app: AppId, plan: &str) -> u64 {
 #[derive(Debug)]
 pub struct FaultOutcome {
     /// The cell that produced this run.
-    pub spec: FaultSpec,
-    /// The run report (`None` when the run panicked).
-    pub report: Option<RunReport>,
-    /// Panic message, if the run aborted.
-    pub panic: Option<String>,
+    pub spec: RunPlan,
+    /// The checked run (its report is `None` when the run panicked).
+    pub run: CheckedRun,
     /// Violations of the campaign's promises (empty = cell passed; a
     /// degraded-but-honest report is *not* a violation).
     pub violations: Vec<String>,
 }
 
 impl FaultOutcome {
+    /// Runs one cell through [`cvm_verify::checked_run`] and holds it to
+    /// the campaign's promises: no panic, balanced loss counters, no
+    /// oracle finding (those recorded before a panic still count).
+    pub fn run(spec: RunPlan) -> FaultOutcome {
+        let run = cvm_verify::checked_run(spec, PickPolicy::default(), false);
+        let panicked = run.panic.iter().map(|m| format!("panicked: {m}"));
+        let loss = run.report.iter().map(|r| &r.loss).filter(|l| !l.balanced());
+        let unbalanced = loss.map(|l| {
+            format!(
+                "loss counters unbalanced: {} sent, {} delivered, {} abandoned",
+                l.sends, l.delivered, l.gave_up
+            )
+        });
+        let oracle = run.findings.iter().map(|f| format!("oracle: {f}"));
+        let violations = panicked.chain(unbalanced).chain(oracle).collect();
+        FaultOutcome {
+            spec,
+            run,
+            violations,
+        }
+    }
+
+    /// The cell's fault-plan name.
+    pub fn plan(&self) -> &'static str {
+        self.spec.faults.unwrap_or("none")
+    }
+
     /// True when the cell upheld every promise.
     pub fn clean(&self) -> bool {
         self.violations.is_empty()
@@ -159,57 +168,7 @@ impl FaultOutcome {
     /// True when the run completed but abandoned traffic at retry
     /// exhaustion.
     pub fn degraded(&self) -> bool {
-        self.report.as_ref().is_some_and(RunReport::degraded)
-    }
-}
-
-/// Runs one cell: the application over the named fault plan, online
-/// oracle armed, panics caught and reported as violations.
-pub fn run_cell(spec: FaultSpec) -> FaultOutcome {
-    let sink = FindingSink::new();
-    let run_sink = sink.clone();
-    let outcome = catch_unwind(AssertUnwindSafe(move || {
-        let mut cfg = CvmConfig::small(spec.nodes, spec.threads);
-        cfg.protocol = spec.protocol;
-        cfg.seed = spec.seed;
-        cfg.verify = true;
-        cfg.verify_sink = run_sink;
-        cfg.faults = Some(FaultPlan::named(spec.plan, spec.nodes).expect("plan in catalog"));
-        let mut builder = CvmBuilder::new(cfg);
-        let body = build_app(&mut builder, spec.app, spec.scale);
-        builder.run(body)
-    }));
-    let mut violations = Vec::new();
-    let (report, panic) = match outcome {
-        Ok(report) => (Some(report), None),
-        Err(payload) => {
-            let msg = cvm_sim::coop::panic_message(payload.as_ref());
-            violations.push(format!("panicked: {msg}"));
-            (None, Some(msg))
-        }
-    };
-    if let Some(r) = &report {
-        if !r.loss.balanced() {
-            violations.push(format!(
-                "loss counters unbalanced: {} sent, {} delivered, {} abandoned",
-                r.loss.sends, r.loss.delivered, r.loss.gave_up
-            ));
-        }
-        for f in &r.findings {
-            violations.push(format!("oracle: {f}"));
-        }
-    }
-    // Findings recorded before a panic still count.
-    if panic.is_some() {
-        for f in sink.snapshot() {
-            violations.push(format!("oracle: {f}"));
-        }
-    }
-    FaultOutcome {
-        spec,
-        report,
-        panic,
-        violations,
+        self.run.report.as_ref().is_some_and(RunReport::degraded)
     }
 }
 
@@ -233,14 +192,19 @@ pub fn run_campaign(config: FaultsConfig) -> FaultsReport {
             "ok"
         };
         let s = &o.spec;
-        format!("{} [{}] plan={} {status}", s.app, s.protocol.slug(), s.plan)
+        format!(
+            "{} [{}] plan={} {status}",
+            s.app,
+            s.protocol.slug(),
+            o.plan()
+        )
     };
     let outcomes = crate::campaign::run(
         "faults",
         config.workers,
         config.specs(),
         label,
-        |_, spec| run_cell(spec),
+        |_, spec| FaultOutcome::run(spec),
     );
     FaultsReport { config, outcomes }
 }
@@ -256,7 +220,7 @@ impl FaultsReport {
     fn cell(&self, protocol: ProtocolKind, app: AppId, plan: &str) -> Option<&FaultOutcome> {
         self.outcomes
             .iter()
-            .find(|o| o.spec.protocol == protocol && o.spec.app == app && o.spec.plan == plan)
+            .find(|o| o.spec.protocol == protocol && o.spec.app == app && o.plan() == plan)
     }
 
     /// The whole campaign as one JSON document (`BENCH_faults.json`).
@@ -281,12 +245,12 @@ impl FaultsReport {
         let mut row = JsonValue::object();
         row.set("app", slug(o.spec.app));
         row.set("protocol", o.spec.protocol.slug());
-        row.set("plan", o.spec.plan);
+        row.set("plan", o.plan());
         row.set("seed", o.spec.seed);
-        if let Some(r) = &o.report {
+        if let Some(r) = &o.run.report {
             row.set("total_ns", r.total_time.as_ns());
             if let Some(b) = self.cell(o.spec.protocol, o.spec.app, "none") {
-                if let Some(base) = &b.report {
+                if let Some(base) = &b.run.report {
                     row.set(
                         "slowdown_vs_none",
                         r.total_time.as_ns() as f64 / base.total_time.as_ns() as f64,
@@ -300,7 +264,7 @@ impl FaultsReport {
                 row.set("abandoned", r.failures.len());
             }
         }
-        if let Some(p) = &o.panic {
+        if let Some(p) = &o.run.panic {
             row.set("panic", p.as_str());
         }
         if !o.violations.is_empty() {
@@ -327,8 +291,8 @@ impl FaultsReport {
                 let _ = write!(out, "| {} | {} |", app.name(), protocol.slug());
                 for &plan in &self.config.plans {
                     match self.cell(protocol, app, plan) {
-                        Some(o) => match (&o.report, self.cell(protocol, app, "none")) {
-                            (Some(r), Some(b)) => match &b.report {
+                        Some(o) => match (&o.run.report, self.cell(protocol, app, "none")) {
+                            (Some(r), Some(b)) => match &b.run.report {
                                 Some(base) => {
                                     let s = r.total_time.as_ns() as f64
                                         / base.total_time.as_ns() as f64;
@@ -362,8 +326,8 @@ impl FaultsReport {
         for &plan in &self.config.plans {
             let mut sums = cvm_net::LossStats::default();
             let mut degraded = 0u64;
-            for o in self.outcomes.iter().filter(|o| o.spec.plan == plan) {
-                if let Some(r) = &o.report {
+            for o in self.outcomes.iter().filter(|o| o.plan() == plan) {
+                if let Some(r) = &o.run.report {
                     let l = &r.loss;
                     sums.sends += l.sends;
                     sums.dropped += l.dropped;
@@ -409,7 +373,7 @@ impl FaultsReport {
                     "- {} [{}] plan={} seed={:#x}: {v}",
                     o.spec.app,
                     o.spec.protocol.slug(),
-                    o.spec.plan,
+                    o.plan(),
                     o.spec.seed
                 );
             }

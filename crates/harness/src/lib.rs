@@ -1,6 +1,7 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //! Each is a [`tables::TABLES`] entry: the cells it reads, run once each
-//! through [`campaign::run`] (as every campaign is), and a render.
+//! through [`campaign::run`], and a render. Every campaign runs there; the
+//! cells of `check` and `faults` are `cvm_verify`'s one checked run.
 //!
 //! | artifact | render | paper content |
 //! |---|---|---|

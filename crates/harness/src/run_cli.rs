@@ -63,13 +63,7 @@ pub fn parse(argv: &[String]) -> Result<RunCmd, CliError> {
         return Ok(RunCmd::Replay(path, app));
     }
     spec.app = app.ok_or_else(|| args.usage("missing application"))?;
-    if !spec.app.supports_threads(spec.threads) {
-        let msg = format_args!(
-            "{} does not support {} threads per node",
-            spec.app, spec.threads
-        );
-        return Err(args.usage(msg));
-    }
+    args.supported(&[spec.app], &[spec.threads])?;
     Ok(RunCmd::Single {
         spec,
         verify,
@@ -173,12 +167,9 @@ pub fn run(cmd: RunCmd) -> Result<(), CliError> {
         );
     }
     if verify {
-        let mut findings = report.findings.clone();
-        match &report.trace {
-            Some(t) if t.overflow() == 0 => {
-                findings.extend(cvm_verify::replay_race_check(t, nodes));
-            }
-            _ => eprintln!("[cvm] trace truncated; offline race replay skipped"),
+        let (findings, dropped) = cvm_verify::findings_with_races(&report, nodes);
+        if dropped > 0 {
+            eprintln!("[cvm] trace truncated; offline race replay skipped");
         }
         for f in &findings {
             println!("verify: {f}");
@@ -196,7 +187,7 @@ pub fn run(cmd: RunCmd) -> Result<(), CliError> {
 
 /// `cvm run [APP] --replay FILE`: re-execute a DPOR counterexample
 /// byte-identically from its schedule file. Ok iff the recorded
-/// terminal-state fingerprint and findings reproduce exactly.
+/// terminal-state fingerprint, findings and panic reproduce exactly.
 fn run_replay(app: Option<AppId>, path: &str) -> Result<(), CliError> {
     let bad_file = |msg: String| CliError::Usage {
         cmd: "run".to_owned(),
@@ -220,17 +211,19 @@ fn run_replay(app: Option<AppId>, path: &str) -> Result<(), CliError> {
         plan.protocol
     );
     let result = cvm_verify::run_scripted(plan, &sched.choices);
-    for f in &result.findings {
+    let findings: Vec<String> = result.findings.iter().map(ToString::to_string).collect();
+    for f in &findings {
         println!("finding: {f}");
     }
     if let Some(p) = &result.panic {
         println!("panic: {p}");
     }
+    let hash = result.state_hash();
     println!(
-        "state hash {:016x} (recorded {:016x})",
-        result.state_hash, sched.state_hash
+        "state hash {hash:016x} (recorded {:016x})",
+        sched.state_hash
     );
-    if result.state_hash != sched.state_hash {
+    if (hash, findings, result.panic) != (sched.state_hash, sched.findings, sched.panic) {
         return Err(CliError::Failed(
             "replay: DIVERGED from the recorded schedule".to_owned(),
         ));

@@ -2,7 +2,7 @@
 //! ([`grid`]) behind every campaign: the paper tables, `sweep` and `bench`.
 
 use cvm_apps::{build_app, build_variant, AppId, Scale, Variant};
-use cvm_dsm::{CvmBuilder, CvmConfig, ProtocolKind, RunReport};
+use cvm_dsm::{CvmBuilder, CvmConfig, ProtocolKind, RunReport, DEFAULT_SEED};
 use cvm_net::MsgClass;
 
 /// One experiment configuration.
@@ -52,7 +52,7 @@ impl RunSpec {
             prefer_local_locks: true,
             jitter_us: 0,
             spans: false,
-            seed: 0x5EED_CAFE,
+            seed: DEFAULT_SEED,
             variant: None,
         }
     }

@@ -69,7 +69,7 @@ impl Default for SweepConfig {
             protocols: vec![ProtocolKind::LazyMultiWriter],
             workers: 0,
             spans: false,
-            seed: 0x5EED_CAFE,
+            seed: cvm_dsm::DEFAULT_SEED,
         }
     }
 }

@@ -43,7 +43,8 @@ impl<C> GridCmd<C> {
 pub fn parse_sweep(argv: &[String]) -> Result<SweepCmd, CliError> {
     let mut c = SweepCmd::default();
     let mut apps: Vec<AppId> = Vec::new();
-    Args::new("sweep", argv).each(|a| {
+    let mut args = Args::new("sweep", argv);
+    args.each(|a| {
         match a.flag() {
             "--json" => {
                 c.out.get_or_insert_with(|| sweep::FILE_NAME.to_owned());
@@ -62,6 +63,7 @@ pub fn parse_sweep(argv: &[String]) -> Result<SweepCmd, CliError> {
         }
         Ok(())
     })?;
+    args.supported(&apps, &c.cfg.threads)?;
     if !apps.is_empty() {
         c.cfg.apps = apps;
     }
@@ -79,7 +81,8 @@ pub fn parse_faults(argv: &[String]) -> Result<FaultsCmd, CliError> {
     let mut c = FaultsCmd::default();
     let mut apps: Vec<AppId> = Vec::new();
     let mut plans: Vec<&'static str> = Vec::new();
-    Args::new("faults", argv).each(|a| {
+    let mut args = Args::new("faults", argv);
+    args.each(|a| {
         match a.flag() {
             "--json" => {
                 c.out.get_or_insert_with(|| faults::FILE_NAME.to_owned());
@@ -98,6 +101,7 @@ pub fn parse_faults(argv: &[String]) -> Result<FaultsCmd, CliError> {
         }
         Ok(())
     })?;
+    args.supported(&apps, &[c.cfg.threads])?;
     if !apps.is_empty() {
         c.cfg.apps = apps;
     }

@@ -104,6 +104,9 @@ fn sweep_lines_of_hostbench_and_ci() {
         (Some("t.md"), Some("x.json"))
     );
     assert_eq!(sweep_cli::parse_sweep(&[]), Ok(SweepCmd::default()));
+    // A named app needs one thread count it supports, not all of them.
+    let cmd = sweep_cli::parse_sweep(&argv("--app ocean --threads 2,3")).unwrap();
+    assert_eq!(cmd.cfg.apps, [AppId::Ocean]);
 }
 
 #[test]
@@ -130,7 +133,8 @@ fn faults_lines_of_hostbench_and_ci() {
     assert_eq!(cmd.cfg.plans.len(), 7);
     assert_eq!(cmd.cfg.protocols.len(), 2);
     assert_eq!(cmd.out.as_deref(), Some("BENCH_faults.json"));
-    // Apps that reject the thread count leave the grid (Ocean at T=3).
+    // Apps that reject the thread count leave the default grid (Ocean at
+    // T=3); a named one is refused (`unknown_things_name_the_offender`).
     let cmd = sweep_cli::parse_faults(&argv("--threads 3")).unwrap();
     assert!(!cmd.cfg.apps.contains(&AppId::Ocean));
 }
@@ -187,6 +191,13 @@ fn check_lines_of_hostbench_and_ci() {
     assert_eq!(cmd.options.apps, AppId::ALL);
     assert_eq!(cmd.options.protocol, ProtocolKind::EagerUpdate);
     assert_eq!(cmd.options.scale, Scale::Small);
+    // `all`, like the default list, skips an app the thread count rules out.
+    let cmd = check_cli::parse(&argv("--app all --threads 3")).unwrap();
+    let all_but_ocean: Vec<AppId> = AppId::ALL
+        .into_iter()
+        .filter(|&a| a != AppId::Ocean)
+        .collect();
+    assert_eq!(cmd.options.apps, all_but_ocean);
     let line = "--dpor --app sor --protocol home-lazy --mutate skip-watermark:1";
     let cmd = check_cli::parse(&argv(line)).unwrap();
     assert_eq!(
@@ -445,6 +456,28 @@ fn unknown_things_name_the_offender() {
         (
             "sweep --app tetris",
             "cvm sweep: --app: unknown app \"tetris\"",
+        ),
+        // A named application that cannot run the thread count is refused,
+        // as `run` refuses it, instead of silently leaving the grid.
+        (
+            "check --app ocean --threads 3",
+            "cvm check: Ocean does not support 3 threads per node",
+        ),
+        (
+            "check --dpor --app sor --app ocean --threads 3",
+            "cvm check: Ocean does not support 3 threads per node",
+        ),
+        (
+            "faults --app ocean --nodes 2 --threads 3 --plan none --json",
+            "cvm faults: Ocean does not support 3 threads per node",
+        ),
+        (
+            "sweep --app ocean --nodes 2 --threads 3",
+            "cvm sweep: Ocean does not support 3 threads per node",
+        ),
+        (
+            "sweep --app ocean --threads 3,5",
+            "cvm sweep: Ocean does not support 3 or 5 threads per node",
         ),
         (
             "check --scale huge",

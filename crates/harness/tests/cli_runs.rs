@@ -1,7 +1,9 @@
 //! The `cvm` binary end to end, on command lines that get past the flag
 //! parser: bad values in a serve deck come back as one line and exit 1,
-//! `--host-time` adds a table to stderr and changes nothing else, and
-//! `cvm explain` reads a doctored report without panicking.
+//! `--host-time` adds a table to stderr and changes nothing else,
+//! `cvm run --replay` passes a schedule file only when everything it
+//! recorded reproduces, and `cvm explain` reads a doctored report without
+//! panicking.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -133,6 +135,62 @@ fn host_time_goes_to_stderr_and_nowhere_else() {
     // A subcommand that never builds a driver does not take the flag.
     let out = cvm(&["explain", "--run", &plain, "--host-time"]);
     assert_eq!(out.status.code(), Some(2));
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
+}
+
+/// `cvm run --replay` holds a schedule file to everything it recorded —
+/// the state hash, the findings and the panic — and refuses a geometry no
+/// run can start with instead of "replaying" the panic it causes.
+#[test]
+fn replay_matches_findings_and_refuses_an_impossible_geometry() {
+    let dir = scratch("replay");
+    let caught = Command::new(env!("CARGO_BIN_EXE_cvm"))
+        .current_dir(&dir)
+        .args(["check", "--dpor", "--app", "sor"])
+        .args(["--mutate", "drop-grant-notice:1"])
+        .output()
+        .expect("cvm runs");
+    assert_eq!(caught.status.code(), Some(0), "the mutation is caught");
+    let file = dir.join("cvm-schedule-sor.json");
+    let path = file.to_str().expect("utf-8 path");
+    let text = std::fs::read_to_string(&file).expect("schedule written");
+    let recorded = JsonValue::parse(&text).expect("schedule parses");
+    // The counterexample panics: its state hash is 0 and says nothing.
+    assert!(recorded.get("panic").is_some(), "{text}");
+    let replay = |doc: &JsonValue| {
+        std::fs::write(&file, doc.to_pretty()).expect("schedule rewritten");
+        let out = cvm(&["run", "--replay", path]);
+        (
+            out.status.code(),
+            String::from_utf8(out.stderr).expect("utf-8"),
+        )
+    };
+    assert_eq!(replay(&recorded).0, Some(0));
+    let mut no_findings = recorded.clone();
+    no_findings.set("findings", JsonValue::array());
+    let mut other_panic = recorded.clone();
+    other_panic.set("panic", "something else");
+    for doc in [no_findings, other_panic] {
+        let (code, stderr) = replay(&doc);
+        assert_eq!(code, Some(1), "{stderr}");
+        assert!(stderr.contains("replay: DIVERGED"), "{stderr}");
+    }
+    let mut zero_nodes = recorded.clone();
+    zero_nodes.set("nodes", 0u64);
+    let mut zero_threads = recorded.clone();
+    zero_threads.set("threads", 0u64);
+    let mut ocean_at_3 = recorded.clone();
+    ocean_at_3.set("app", "ocean").set("threads", 3u64);
+    for (doc, error) in [
+        (zero_nodes, "bad 'nodes'"),
+        (zero_threads, "bad 'threads'"),
+        (ocean_at_3, "bad 'threads'"),
+    ] {
+        let (code, stderr) = replay(&doc);
+        assert_eq!(code, Some(2), "{error}: {stderr}");
+        let want = format!("cvm run: --replay: {path}: {error}");
+        assert_eq!(stderr.lines().next(), Some(want.as_str()));
+    }
     std::fs::remove_dir_all(&dir).expect("temp dir removed");
 }
 

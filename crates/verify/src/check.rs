@@ -1,10 +1,11 @@
-//! The `cvm check` driver: schedule exploration per application with
-//! lint-style findings and replayable failure seeds.
+//! `cvm check`'s cell ([`check_app`]: schedule exploration of one
+//! application) and its report, with lint-style findings and replayable
+//! failure seeds. The harness runs the cells as a campaign.
 
 use std::fmt::Write as _;
 
 use cvm_apps::{AppId, Scale};
-use cvm_dsm::{Finding, InjectFault, ProtocolKind};
+use cvm_dsm::{Finding, InjectFault, ProtocolKind, DEFAULT_SEED};
 use cvm_sim::json::JsonValue;
 use cvm_sim::ExploreSpec;
 
@@ -93,6 +94,7 @@ impl CheckOptions {
             inject: self.inject,
             faults: self.faults,
             trace_capacity: self.trace_capacity,
+            seed: DEFAULT_SEED,
         }
     }
 }
@@ -340,11 +342,8 @@ impl CheckReport {
             }
             if let Some(fail) = &app.failure {
                 let mut f = JsonValue::object();
-                let mut finds = JsonValue::array();
-                for finding in &fail.findings {
-                    finds.push(finding.to_string());
-                }
-                f.set("findings", finds);
+                let findings: Vec<String> = fail.findings.iter().map(ToString::to_string).collect();
+                f.set("findings", findings);
                 if let Some(p) = &fail.panic {
                     f.set("panic", p.as_str());
                 }
@@ -374,25 +373,6 @@ fn naive_estimate(stats: &DporStats) -> String {
         format!("{}", stats.naive)
     } else {
         format!("10^{:.1}", stats.naive_log10)
-    }
-}
-
-/// Runs the check. Random mode: per application, an unperturbed baseline
-/// followed by `schedules` seeded perturbations, stopping at (and
-/// minimizing) the first failure. DPOR mode: exhaustive exploration of
-/// every inequivalent interleaving per application.
-pub fn run_check(options: &CheckOptions) -> CheckReport {
-    let mut apps = Vec::new();
-    for &app in &options.apps {
-        apps.push(if options.dpor {
-            check_app_dpor(options, app)
-        } else {
-            check_app(options, app)
-        });
-    }
-    CheckReport {
-        options: options.clone(),
-        apps,
     }
 }
 
@@ -436,7 +416,14 @@ fn check_app_dpor(options: &CheckOptions, app: AppId) -> AppCheck {
     }
 }
 
-fn check_app(options: &CheckOptions, app: AppId) -> AppCheck {
+/// Checks one application — one cell of the `cvm check` campaign. Random
+/// mode: an unperturbed baseline followed by `schedules` seeded
+/// perturbations, stopping at (and minimizing) the first failure. DPOR
+/// mode: exhaustive exploration of every inequivalent interleaving.
+pub fn check_app(options: &CheckOptions, app: AppId) -> AppCheck {
+    if options.dpor {
+        return check_app_dpor(options, app);
+    }
     let plan = options.plan(app);
     let mut decisions = 0;
     let mut warnings = Vec::new();
@@ -446,9 +433,10 @@ fn check_app(options: &CheckOptions, app: AppId) -> AppCheck {
     let specs =
         std::iter::once(None).chain((0..options.schedules).map(|i| Some(options.spec_of(i))));
     for spec in specs {
-        let result = run_schedule(plan, spec);
+        let mut result = run_schedule(plan, spec);
         schedules_run += 1;
-        decisions += result.decisions;
+        // Free the report (and its trace) before any minimizing re-run.
+        decisions += result.report.take().map_or(0, |r| r.explore_decisions);
         if result.trace_dropped > 0 {
             truncated_schedules += 1;
             if warnings.is_empty() {

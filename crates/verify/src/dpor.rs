@@ -27,7 +27,8 @@
 //! Failures are minimized (each scripted pick is reverted to the default
 //! policy if the failure persists) and exported as a replayable schedule
 //! file — `cvm run <app> --replay FILE` re-executes it byte-identically,
-//! asserting the terminal state fingerprint matches.
+//! asserting the terminal state fingerprint, the findings and the panic
+//! all match.
 
 use std::collections::{BTreeSet, HashSet};
 
@@ -36,7 +37,7 @@ use cvm_dsm::{Finding, InjectFault, ProtocolKind};
 use cvm_sim::json::JsonValue;
 use cvm_sim::StepRecord;
 
-use crate::explore::{run_scripted, RunPlan, ScriptedResult};
+use crate::explore::{run_scripted, CheckedRun, RunPlan};
 use crate::indep::dependent;
 
 /// Tuning knobs for the DPOR exploration.
@@ -159,7 +160,7 @@ pub fn dpor_check(plan: RunPlan, options: &DporOptions) -> DporReport {
         if stats.traces == 1 {
             let mut product: u128 = 1;
             let mut log10 = 0.0f64;
-            for s in &result.steps {
+            for s in result.steps() {
                 let n = s.enabled.len().max(1) as u128;
                 product = product.saturating_mul(n);
                 log10 += (n as f64).log10();
@@ -175,18 +176,18 @@ pub fn dpor_check(plan: RunPlan, options: &DporOptions) -> DporReport {
                 counterexample: Some(cx),
             };
         }
-        if result.steps_dropped > 0 {
+        if result.steps_dropped() > 0 {
             stats.truncated = true;
         }
         if result.trace_dropped > 0 {
             stats.overflowed += 1;
         }
-        terminal.insert(result.state_hash);
-        stats.max_depth = stats.max_depth.max(result.steps.len());
+        terminal.insert(result.state_hash());
+        stats.max_depth = stats.max_depth.max(result.steps().len());
 
         // Extend the stack with the scheduling points beyond the pinned
         // prefix (the prefix itself replayed identically by construction).
-        for s in &result.steps[stack.len()..] {
+        for s in &result.steps()[stack.len()..] {
             stack.push(Point {
                 enabled: s.enabled.clone(),
                 node: s.node,
@@ -196,7 +197,7 @@ pub fn dpor_check(plan: RunPlan, options: &DporOptions) -> DporReport {
                 pruned: BTreeSet::new(),
             });
         }
-        analyze(&mut stack, &result.steps, &mut stats);
+        analyze(&mut stack, result.steps(), &mut stats);
         let frontier: usize = stack.iter().map(|p| p.todo.len()).sum();
         stats.max_frontier = stats.max_frontier.max(frontier);
 
@@ -273,11 +274,11 @@ fn analyze(stack: &mut [Point], steps: &[StepRecord], stats: &mut DporStats) {
 fn minimize_counterexample(
     plan: RunPlan,
     mut choices: Vec<u32>,
-    first: &ScriptedResult,
+    first: &CheckedRun,
 ) -> DporCounterexample {
     let mut findings = first.findings.clone();
     let mut panic = first.panic.clone();
-    let mut state_hash = first.state_hash;
+    let mut state_hash = first.state_hash();
     for i in 0..choices.len() {
         if choices[i] == 0 {
             continue;
@@ -286,9 +287,9 @@ fn minimize_counterexample(
         choices[i] = 0;
         let probe = run_scripted(plan, &choices);
         if probe.failed() {
+            state_hash = probe.state_hash();
             findings = probe.findings;
             panic = probe.panic;
-            state_hash = probe.state_hash;
         } else {
             choices[i] = saved;
         }
@@ -318,6 +319,10 @@ pub struct ScheduleFile {
     /// Expected terminal-state fingerprint (`0` when the failing run
     /// panicked before reaching a terminal state).
     pub state_hash: u64,
+    /// The recorded run's findings, rendered.
+    pub findings: Vec<String>,
+    /// The recorded run's panic message, if it aborted.
+    pub panic: Option<String>,
 }
 
 /// Serializes a counterexample as a replayable schedule document
@@ -330,24 +335,23 @@ pub fn schedule_to_json(plan: &RunPlan, cx: &DporCounterexample) -> JsonValue {
     obj.set("nodes", plan.nodes);
     obj.set("threads", plan.threads);
     obj.set("protocol", plan.protocol.slug());
+    obj.set("seed", plan.seed);
     if let Some(inject) = plan.inject {
         obj.set("mutate", inject.to_string());
     }
     obj.set("choices", cx.choices.clone());
     obj.set("state_hash", format!("{:016x}", cx.state_hash));
     obj.set("perturbations", cx.perturbations);
-    let mut finds = JsonValue::array();
-    for f in &cx.findings {
-        finds.push(f.to_string());
-    }
-    obj.set("findings", finds);
+    let findings: Vec<String> = cx.findings.iter().map(ToString::to_string).collect();
+    obj.set("findings", findings);
     if let Some(p) = &cx.panic {
         obj.set("panic", p.as_str());
     }
     obj
 }
 
-/// Parses a schedule document produced by [`schedule_to_json`].
+/// Parses a schedule document produced by [`schedule_to_json`], refusing
+/// a geometry the run could not start with.
 pub fn schedule_from_json(doc: &JsonValue) -> Result<ScheduleFile, String> {
     if doc.get("schema").and_then(JsonValue::as_str) != Some("cvm-schedule") {
         return Err("not a cvm-schedule document".to_owned());
@@ -361,8 +365,14 @@ pub fn schedule_from_json(doc: &JsonValue) -> Result<ScheduleFile, String> {
         .as_str()
         .and_then(Scale::parse)
         .ok_or("bad 'scale'")?;
-    let nodes = field("nodes")?.as_u64().ok_or("bad 'nodes'")? as usize;
-    let threads = field("threads")?.as_u64().ok_or("bad 'threads'")? as usize;
+    let count = |name: &str, ok: &dyn Fn(usize) -> bool| {
+        let n = field(name)?.as_u64().and_then(|n| usize::try_from(n).ok());
+        n.filter(|&n| n > 0 && ok(n))
+            .ok_or_else(|| format!("bad '{name}'"))
+    };
+    let nodes = count("nodes", &|_| true)?;
+    let threads = count("threads", &|t| app.supports_threads(t))?;
+    let seed = field("seed")?.as_u64().ok_or("bad 'seed'")?;
     let protocol = field("protocol")?
         .as_str()
         .and_then(ProtocolKind::parse)
@@ -389,6 +399,14 @@ pub fn schedule_from_json(doc: &JsonValue) -> Result<ScheduleFile, String> {
         .as_str()
         .and_then(|s| u64::from_str_radix(s, 16).ok())
         .ok_or("bad 'state_hash'")?;
+    let findings = field("findings")?
+        .as_array()
+        .ok_or("bad 'findings'")?
+        .iter()
+        .map(|f| f.as_str().map(str::to_owned).ok_or("bad 'findings'"))
+        .collect::<Result<Vec<String>, _>>()?;
+    let panic = doc.get("panic").map(|p| p.as_str().map(str::to_owned));
+    let panic = panic.map(|p| p.ok_or("bad 'panic'")).transpose()?;
     Ok(ScheduleFile {
         plan: RunPlan {
             app,
@@ -399,9 +417,12 @@ pub fn schedule_from_json(doc: &JsonValue) -> Result<ScheduleFile, String> {
             inject,
             faults: None,
             trace_capacity: 4_000_000,
+            seed,
         },
         choices,
         state_hash,
+        findings,
+        panic,
     })
 }
 
@@ -419,18 +440,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn schedule_document_round_trips() {
-        let plan = RunPlan {
-            app: AppId::Sor,
+    fn plan(app: AppId, threads: usize) -> RunPlan {
+        RunPlan {
+            app,
             scale: Scale::Tiny,
             nodes: 2,
-            threads: 2,
+            threads,
             protocol: ProtocolKind::HomeLazy,
             inject: Some(InjectFault::SkipHomeWatermark { nth: 1 }),
             faults: None,
             trace_capacity: 4_000_000,
-        };
+            seed: 0xFACE_F00D_0000_0001,
+        }
+    }
+
+    #[test]
+    fn schedule_document_round_trips() {
+        let plan = plan(AppId::Sor, 2);
         let doc = schedule_to_json(&plan, &cx());
         let parsed = schedule_from_json(&doc).expect("round trip");
         assert_eq!(parsed.plan.app, plan.app);
@@ -438,25 +464,31 @@ mod tests {
         assert_eq!(parsed.plan.nodes, plan.nodes);
         assert_eq!(parsed.plan.protocol, plan.protocol);
         assert_eq!(parsed.plan.inject, plan.inject);
+        assert_eq!(parsed.plan.seed, plan.seed);
         assert_eq!(parsed.choices, vec![0, 1, 0, 1]);
         assert_eq!(parsed.state_hash, 0xDEAD_BEEF);
+        assert_eq!(parsed.findings, Vec::<String>::new());
+        assert_eq!(parsed.panic.as_deref(), Some("boom"));
     }
 
     #[test]
     fn schedule_parse_rejects_garbage() {
         assert!(schedule_from_json(&JsonValue::object()).is_err());
-        let plan = RunPlan {
-            app: AppId::Fft,
-            scale: Scale::Tiny,
-            nodes: 2,
-            threads: 1,
-            protocol: ProtocolKind::LazyMultiWriter,
-            inject: None,
-            faults: None,
-            trace_capacity: 4_000_000,
-        };
-        let mut doc = schedule_to_json(&plan, &cx());
-        doc.set("protocol", "bogus");
-        assert!(schedule_from_json(&doc).is_err());
+        let doc = schedule_to_json(&plan(AppId::Fft, 1), &cx());
+        for (key, value, error) in [
+            ("protocol", JsonValue::from("bogus"), "bad 'protocol'"),
+            ("nodes", JsonValue::from(0u64), "bad 'nodes'"),
+            ("threads", JsonValue::from(0u64), "bad 'threads'"),
+            ("seed", JsonValue::from("x"), "bad 'seed'"),
+            ("findings", JsonValue::from(7u64), "bad 'findings'"),
+        ] {
+            let mut bad = doc.clone();
+            bad.set(key, value);
+            assert_eq!(schedule_from_json(&bad).unwrap_err(), error, "{key}");
+        }
+        // Ocean runs only power-of-two threads per node.
+        let mut ocean = schedule_to_json(&plan(AppId::Ocean, 2), &cx());
+        ocean.set("threads", 3u64);
+        assert_eq!(schedule_from_json(&ocean).unwrap_err(), "bad 'threads'");
     }
 }

@@ -1,5 +1,7 @@
-//! Running one application under one (possibly perturbed) schedule and
-//! collecting everything the checkers need — even out of a panicking run.
+//! The one checked run ([`checked_run`]): an application under the online
+//! oracle, with the run's panic caught and everything the checkers need
+//! collected — even out of a panicking run. `cvm check`, the DPOR
+//! explorer and `cvm faults` all run through it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -8,36 +10,11 @@ use cvm_dsm::{
     CvmBuilder, CvmConfig, FaultPlan, Finding, FindingSink, InjectFault, LatencyModel,
     ProtocolKind, RunReport,
 };
-use cvm_sim::{ExploreSpec, PickPolicy, ScheduleScript, StepRecord};
+use cvm_sim::{ExploreSpec, PickPolicy, ScheduleScript, StepLog, StepRecord};
 
 use crate::race::replay_race_check;
 
-/// Everything a single checked run produced.
-#[derive(Debug)]
-pub struct ScheduleResult {
-    /// The perturbation that was applied (`None` = the configured
-    /// scheduling policy, unmodified).
-    pub spec: Option<ExploreSpec>,
-    /// Online oracle findings plus offline race-replay findings.
-    pub findings: Vec<Finding>,
-    /// Scheduler pick decisions the exploration actually perturbed.
-    pub decisions: u64,
-    /// Panic message if the run aborted (oracle findings recorded before
-    /// the panic are still salvaged into `findings`).
-    pub panic: Option<String>,
-    /// Protocol events dropped because the trace filled; nonzero means
-    /// the race replay was skipped as unsound.
-    pub trace_dropped: u64,
-}
-
-impl ScheduleResult {
-    /// True if this schedule demonstrated a protocol violation.
-    pub fn failed(&self) -> bool {
-        !self.findings.is_empty() || self.panic.is_some()
-    }
-}
-
-/// What to run and how hard to shake it.
+/// What to run under the oracle, and over which wire.
 #[derive(Debug, Clone, Copy)]
 pub struct RunPlan {
     /// Application under test.
@@ -52,108 +29,132 @@ pub struct RunPlan {
     pub protocol: ProtocolKind,
     /// Deliberate protocol mutation (oracle self-test), if any.
     pub inject: Option<InjectFault>,
-    /// Named fault plan (from [`cvm_dsm::PLAN_CATALOG`]) layered under
-    /// the explored schedules, if any.
+    /// Named fault plan (from [`cvm_dsm::PLAN_CATALOG`]) under the run,
+    /// if any.
     pub faults: Option<&'static str>,
-    /// Trace capacity for the offline replay.
+    /// Trace capacity for the offline race replay (0 = no trace, no
+    /// replay).
     pub trace_capacity: usize,
+    /// Master seed of the run.
+    pub seed: u64,
 }
 
-/// One checked run of `plan.app` under `pick`: the online oracle records
-/// into `sink`, the trace is enabled, and a panic inside the run is caught
-/// and returned as its message (findings recorded before it survive in
-/// `sink`). A completed run returns its report, the report's findings
-/// extended by the offline race replay (skipped as unsound when the trace
-/// overflowed) and the count of dropped trace events. `scripted` runs
-/// also record every scheduling point.
-fn run_plan(
-    plan: RunPlan,
-    pick: PickPolicy,
-    scripted: bool,
-    sink: &FindingSink,
-) -> Result<(RunReport, Vec<Finding>, u64), String> {
+/// Everything one checked run produced.
+#[derive(Debug)]
+pub struct CheckedRun {
+    /// The run report (`None` when the run panicked).
+    pub report: Option<RunReport>,
+    /// Online oracle findings, plus the offline race replay's when the
+    /// plan asked for a trace. Findings recorded before a panic survive.
+    pub findings: Vec<Finding>,
+    /// Panic message if the run aborted.
+    pub panic: Option<String>,
+    /// Protocol events dropped because the trace filled; nonzero means
+    /// the race replay was skipped as unsound.
+    pub trace_dropped: u64,
+}
+
+impl CheckedRun {
+    /// True if this run demonstrated a protocol violation.
+    pub fn failed(&self) -> bool {
+        !self.findings.is_empty() || self.panic.is_some()
+    }
+
+    fn step_log(&self) -> Option<&StepLog> {
+        self.report.as_ref()?.steps.as_ref()
+    }
+
+    /// A `record_steps` run's scheduling points: one record per pick, with
+    /// the enabled set, the chosen thread and the step's page footprint.
+    pub fn steps(&self) -> &[StepRecord] {
+        self.step_log().map_or(&[], StepLog::steps)
+    }
+
+    /// Step records dropped because the step log filled; nonzero means
+    /// the DPOR analysis of this execution is incomplete.
+    pub fn steps_dropped(&self) -> u64 {
+        self.step_log().map_or(0, StepLog::dropped)
+    }
+
+    /// FNV-1a fingerprint of a `record_steps` run's terminal state
+    /// (memories, page states, vector clocks); `0` when the run panicked.
+    pub fn state_hash(&self) -> u64 {
+        self.report.as_ref().map_or(0, |r| r.state_hash)
+    }
+}
+
+/// Runs `plan.app` once under `pick` with the online oracle armed, and
+/// catches a panic inside the run as its message. `record_steps` runs
+/// also record every scheduling point and fingerprint the terminal state;
+/// on [`Scale::Tiny`] they swap in the wire-dominant
+/// [`LatencyModel::check`] model: under the default instant model,
+/// causality pins every flush ahead of the request that needs it, hiding
+/// the protocol's parked-request paths from the checker.
+pub fn checked_run(plan: RunPlan, pick: PickPolicy, record_steps: bool) -> CheckedRun {
+    let sink = FindingSink::new();
     let run_sink = sink.clone();
-    let report = catch_unwind(AssertUnwindSafe(move || {
+    let outcome = catch_unwind(AssertUnwindSafe(move || {
         let mut cfg = CvmConfig::small(plan.nodes, plan.threads);
         cfg.protocol = plan.protocol;
+        cfg.seed = plan.seed;
         cfg.verify = true;
         cfg.verify_sink = run_sink;
         cfg.inject = plan.inject;
-        if let Some(name) = plan.faults {
-            cfg.faults = Some(FaultPlan::named(name, plan.nodes).expect("fault plan in catalog"));
-        }
+        cfg.faults = plan
+            .faults
+            .map(|name| FaultPlan::named(name, plan.nodes).expect("fault plan in catalog"));
         cfg.trace_capacity = plan.trace_capacity;
         cfg.pick = pick;
-        cfg.record_steps = scripted;
-        if scripted && plan.scale == Scale::Tiny {
+        cfg.record_steps = record_steps;
+        if record_steps && plan.scale == Scale::Tiny {
             cfg.latency = LatencyModel::check();
         }
         let mut builder = CvmBuilder::new(cfg);
         let body = build_app(&mut builder, plan.app, plan.scale);
         builder.run(body)
-    }))
-    .map_err(|payload| cvm_sim::coop::panic_message(payload.as_ref()))?;
-    let mut findings = report.findings.clone();
-    let trace = report.trace.as_ref().expect("tracing was enabled");
-    let dropped = trace.overflow();
-    if dropped == 0 {
-        findings.extend(replay_race_check(trace, plan.nodes));
-    }
-    Ok((report, findings, dropped))
-}
-
-/// Runs `plan.app` once under `spec`, with the online oracle recording
-/// and the trace enabled, then replays the trace through the race
-/// detector. Panics inside the run are caught; findings recorded before
-/// the panic survive.
-pub fn run_schedule(plan: RunPlan, spec: Option<ExploreSpec>) -> ScheduleResult {
-    let sink = FindingSink::new();
-    let pick = spec.map_or_else(PickPolicy::default, PickPolicy::seeded);
-    match run_plan(plan, pick, false, &sink) {
-        Ok((report, findings, trace_dropped)) => ScheduleResult {
-            spec,
-            findings,
-            decisions: report.explore_decisions,
-            panic: None,
-            trace_dropped,
-        },
-        Err(msg) => ScheduleResult {
-            spec,
+    }));
+    match outcome {
+        Ok(report) => {
+            let (findings, trace_dropped) = findings_with_races(&report, plan.nodes);
+            CheckedRun {
+                report: Some(report),
+                findings,
+                panic: None,
+                trace_dropped,
+            }
+        }
+        Err(payload) => CheckedRun {
+            report: None,
             findings: sink.snapshot(),
-            decisions: 0,
-            panic: Some(msg),
+            panic: Some(cvm_sim::coop::panic_message(payload.as_ref())),
             trace_dropped: 0,
         },
     }
 }
 
-/// Everything a script-pinned (DPOR) run produced.
-#[derive(Debug)]
-pub struct ScriptedResult {
-    /// Online oracle findings plus offline race-replay findings.
-    pub findings: Vec<Finding>,
-    /// Panic message if the run aborted (oracle findings recorded before
-    /// the panic are still salvaged into `findings`).
-    pub panic: Option<String>,
-    /// The full scheduling-point log: one record per scheduler pick, with
-    /// the enabled set, the chosen thread, and the step's page footprint.
-    pub steps: Vec<StepRecord>,
-    /// FNV-1a fingerprint of the terminal state (memories, page states,
-    /// vector clocks); `0` when the run panicked.
-    pub state_hash: u64,
-    /// Protocol events dropped because the trace filled; nonzero means
-    /// the race replay was skipped as unsound.
-    pub trace_dropped: u64,
-    /// Step records dropped because the step log filled; nonzero means
-    /// the DPOR analysis of this execution is incomplete.
-    pub steps_dropped: u64,
+/// The report's oracle findings extended by the offline race replay of
+/// its trace, and the count of trace events dropped. A run without a
+/// trace, or whose trace overflowed, skips the replay as unsound.
+pub fn findings_with_races(report: &RunReport, nodes: usize) -> (Vec<Finding>, u64) {
+    let mut findings = report.findings.clone();
+    let Some(trace) = &report.trace else {
+        return (findings, 0);
+    };
+    let dropped = trace.overflow();
+    if dropped == 0 {
+        findings.extend(replay_race_check(trace, nodes));
+    }
+    (findings, dropped)
 }
 
-impl ScriptedResult {
-    /// True if this execution demonstrated a protocol violation.
-    pub fn failed(&self) -> bool {
-        !self.findings.is_empty() || self.panic.is_some()
-    }
+/// Runs `plan.app` once under the perturbation `spec` (`None` = the
+/// default policy, unmodified).
+pub fn run_schedule(plan: RunPlan, spec: Option<ExploreSpec>) -> CheckedRun {
+    checked_run(
+        plan,
+        spec.map_or_else(PickPolicy::default, PickPolicy::seeded),
+        false,
+    )
 }
 
 /// Runs `plan.app` once with the scheduler pinned to `choices` (index `i`
@@ -161,35 +162,9 @@ impl ScriptedResult {
 /// default policy resumes), recording every scheduling point. Used by the
 /// DPOR explorer, which needs deterministic re-execution plus the enabled
 /// sets and per-step page footprints.
-///
-/// [`Scale::Tiny`] plans swap in the wire-dominant
-/// [`LatencyModel::check`] model: under the default instant model,
-/// causality pins every flush ahead of the request that needs it, hiding
-/// the protocol's parked-request paths from the checker.
-pub fn run_scripted(plan: RunPlan, choices: &[u32]) -> ScriptedResult {
-    let sink = FindingSink::new();
+pub fn run_scripted(plan: RunPlan, choices: &[u32]) -> CheckedRun {
     let pick = PickPolicy::scripted(ScheduleScript::new(choices.to_vec()));
-    match run_plan(plan, pick, true, &sink) {
-        Ok((report, findings, trace_dropped)) => {
-            let log = report.steps.as_ref().expect("step recording was enabled");
-            ScriptedResult {
-                findings,
-                panic: None,
-                steps: log.steps().to_vec(),
-                state_hash: report.state_hash,
-                trace_dropped,
-                steps_dropped: log.dropped(),
-            }
-        }
-        Err(msg) => ScriptedResult {
-            findings: sink.snapshot(),
-            panic: Some(msg),
-            steps: Vec::new(),
-            state_hash: 0,
-            trace_dropped: 0,
-            steps_dropped: 0,
-        },
-    }
+    checked_run(plan, pick, true)
 }
 
 /// Shrinks a failing schedule to the smallest perturbation budget that

@@ -10,14 +10,13 @@
 //!   notice or applying the diff. Benign multiple-writer concurrency
 //!   (clocks incomparable) is deliberately not flagged — that is the
 //!   protocol working as designed.
-//! * [`explore`] — seeded schedule exploration: runs an application under
-//!   perturbed scheduler pick decisions
-//!   ([`ExploreSpec`](cvm_sim::ExploreSpec)), salvages oracle findings
-//!   even when the run panics, and minimizes failing schedules to the
-//!   smallest replayable perturbation budget.
-//! * [`check`] — the `cvm check` driver: explores a schedule budget per
-//!   application, replays every trace through the race detector, and
-//!   renders lint-style findings with a replay command line.
+//! * [`explore`] — the one checked run ([`checked_run`]: oracle armed,
+//!   panic caught, race replay) behind `cvm check`, DPOR and `cvm faults`,
+//!   plus seeded schedule exploration minimized to the smallest replayable
+//!   perturbation budget.
+//! * [`check`] — the `cvm check` cell ([`check::check_app`]): explores one
+//!   application's schedules and renders lint-style findings with a replay
+//!   command line.
 //! * [`dpor`] + [`indep`] — exhaustive stateless model checking: dynamic
 //!   partial-order reduction over the scheduler's pick decisions, with an
 //!   independence relation derived from per-step page/lock footprints.
@@ -43,6 +42,8 @@ pub use dpor::{
     dpor_check, schedule_from_json, schedule_to_json, DporCounterexample, DporOptions, DporReport,
     DporStats, ScheduleFile,
 };
-pub use explore::{run_schedule, run_scripted, RunPlan, ScheduleResult, ScriptedResult};
+pub use explore::{
+    checked_run, findings_with_races, run_schedule, run_scripted, CheckedRun, RunPlan,
+};
 pub use indep::dependent;
 pub use race::replay_race_check;

@@ -18,6 +18,7 @@ fn plan(app: AppId, protocol: ProtocolKind) -> cvm_verify::explore::RunPlan {
         inject: None,
         faults: None,
         trace_capacity: 4_000_000,
+        seed: cvm_dsm::DEFAULT_SEED,
     }
 }
 
@@ -27,14 +28,14 @@ fn scripted_replay_is_byte_identical() {
     let a = run_scripted(p, &[]);
     let b = run_scripted(p, &[]);
     assert!(!a.failed(), "baseline must be clean: {:?}", a.findings);
-    assert_eq!(a.state_hash, b.state_hash, "terminal state must replay");
-    assert_eq!(a.steps, b.steps, "step log must replay");
-    assert!(!a.steps.is_empty(), "scheduling points were recorded");
+    assert_eq!(a.state_hash(), b.state_hash(), "terminal state must replay");
+    assert_eq!(a.steps(), b.steps(), "step log must replay");
+    assert!(!a.steps().is_empty(), "scheduling points were recorded");
     // Re-pinning the observed choices reproduces the same execution.
-    let choices: Vec<u32> = a.steps.iter().map(|s| s.chosen).collect();
+    let choices: Vec<u32> = a.steps().iter().map(|s| s.chosen).collect();
     let c = run_scripted(p, &choices);
-    assert_eq!(a.state_hash, c.state_hash);
-    assert_eq!(a.steps, c.steps);
+    assert_eq!(a.state_hash(), c.state_hash());
+    assert_eq!(a.steps(), c.steps());
 }
 
 #[test]
@@ -43,7 +44,7 @@ fn perturbed_prefix_changes_the_pick() {
     let base = run_scripted(p, &[]);
     // Find the first point with a real choice and flip it.
     let k = base
-        .steps
+        .steps()
         .iter()
         .position(|s| s.enabled.len() > 1)
         .expect("a 2-thread node has contended picks");
@@ -51,12 +52,13 @@ fn perturbed_prefix_changes_the_pick() {
     choices[k] = 1;
     let flipped = run_scripted(p, &choices);
     assert_eq!(
-        flipped.steps[k].chosen, 1,
+        flipped.steps()[k].chosen,
+        1,
         "the scripted pick must be honored"
     );
     assert_eq!(
-        base.steps[..k],
-        flipped.steps[..k],
+        base.steps()[..k],
+        flipped.steps()[..k],
         "the unperturbed prefix must replay identically"
     );
 }
@@ -102,7 +104,11 @@ fn dpor_catches_skip_watermark_mutant() {
     // The minimized schedule replays to the same failure and state.
     let replay = run_scripted(p, &cx.choices);
     assert!(replay.failed(), "minimized counterexample must reproduce");
-    assert_eq!(replay.state_hash, cx.state_hash, "replay is byte-identical");
+    assert_eq!(
+        replay.state_hash(),
+        cx.state_hash,
+        "replay is byte-identical"
+    );
 }
 
 #[test]
@@ -115,13 +121,17 @@ fn dpor_catches_drop_grant_notice_mutant() {
         .expect("DPOR must find the dropped lock-grant notice");
     let replay = run_scripted(p, &cx.choices);
     assert!(replay.failed(), "minimized counterexample must reproduce");
-    assert_eq!(replay.state_hash, cx.state_hash, "replay is byte-identical");
+    assert_eq!(
+        replay.state_hash(),
+        cx.state_hash,
+        "replay is byte-identical"
+    );
     // The schedule file round-trips into the same replay.
     let doc = schedule_to_json(&p, &cx);
     let parsed = schedule_from_json(&doc).expect("parse back");
     let again = run_scripted(parsed.plan, &parsed.choices);
     assert!(again.failed());
-    assert_eq!(again.state_hash, parsed.state_hash);
+    assert_eq!(again.state_hash(), parsed.state_hash);
 }
 
 #[test]
